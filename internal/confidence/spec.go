@@ -24,6 +24,11 @@ type Spec struct {
 	JRS *JRSConfig `json:"jrs,omitempty"`
 	CIC *CICConfig `json:"cic,omitempty"`
 	TNT *TNTConfig `json:"tnt,omitempty"`
+	// Wrap optionally remaps the built estimator's bands: WrapPromoteLow
+	// (PromoteLow) or WrapDemoteStrong (DemoteStrong). Empty means the
+	// bare estimator. It is one flat field, not a nested Spec: a wrap
+	// applies to the family configured above and never to another wrap.
+	Wrap string `json:"wrap,omitempty"`
 }
 
 // Spec kinds.
@@ -32,6 +37,12 @@ const (
 	KindJRS  = "jrs"
 	KindCIC  = "cic"
 	KindTNT  = "tnt"
+)
+
+// Spec wraps.
+const (
+	WrapPromoteLow   = "promote-low"
+	WrapDemoteStrong = "demote-strong"
 )
 
 // SpecNone describes "no estimator" (the ungated baseline runs).
@@ -63,6 +74,20 @@ func SpecTNT(lambda int) *Spec {
 
 // SpecTNTWith describes a fully configured TNT estimator (NewTNTWith).
 func SpecTNTWith(cfg TNTConfig) *Spec { return &Spec{Kind: KindTNT, TNT: &cfg} }
+
+// SpecPromoteLow describes PromoteLow{Inner: inner}: a copy of inner
+// whose low-confidence estimates all become StrongLow.
+func SpecPromoteLow(inner *Spec) *Spec { return inner.wrapped(WrapPromoteLow) }
+
+// SpecDemoteStrong describes DemoteStrong{Inner: inner}: a copy of
+// inner whose StrongLow estimates become WeakLow.
+func SpecDemoteStrong(inner *Spec) *Spec { return inner.wrapped(WrapDemoteStrong) }
+
+func (s *Spec) wrapped(wrap string) *Spec {
+	w := *s
+	w.Wrap = wrap
+	return &w
+}
 
 // Validate checks that the Spec is internally consistent: a known
 // kind, the matching config present, and the others absent. A nil Spec
@@ -118,6 +143,15 @@ func (s *Spec) Validate() error {
 	default:
 		return fmt.Errorf("confidence: unknown spec kind %q", s.Kind)
 	}
+	switch s.Wrap {
+	case "":
+	case WrapPromoteLow, WrapDemoteStrong:
+		if s.Kind == KindNone {
+			return fmt.Errorf("confidence: spec wrap %q needs an estimator to wrap", s.Wrap)
+		}
+	default:
+		return fmt.Errorf("confidence: unknown spec wrap %q", s.Wrap)
+	}
 	return nil
 }
 
@@ -152,12 +186,20 @@ func (s *Spec) Build() (Estimator, error) {
 	if s == nil || s.Kind == KindNone {
 		return nil, nil
 	}
+	var est Estimator
 	switch s.Kind {
 	case KindJRS:
-		return NewJRS(*s.JRS), nil
+		est = NewJRS(*s.JRS)
 	case KindCIC:
-		return NewCICWith(*s.CIC), nil
+		est = NewCICWith(*s.CIC)
 	default: // KindTNT; Validate rejected everything else
-		return NewTNTWith(*s.TNT), nil
+		est = NewTNTWith(*s.TNT)
 	}
+	switch s.Wrap {
+	case WrapPromoteLow:
+		est = PromoteLow{Inner: est}
+	case WrapDemoteStrong:
+		est = DemoteStrong{Inner: est}
+	}
+	return est, nil
 }

@@ -2,14 +2,16 @@ package confidence
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // TestSpecMatchesClosureConstructors pins the property distribution
-// depends on: a Spec and the traditional constructor call it describes
-// build estimators with identical Name()s — and Name() is what cache
-// keys hash, so spec-built and closure-built jobs share keys.
+// depends on: a Spec and the constructor call it describes build
+// estimators of the same type with identical Name()s — and Name() is
+// what cache keys hash, so a spec keeps the key the equivalent
+// constructor-built job had.
 func TestSpecMatchesClosureConstructors(t *testing.T) {
 	cases := []struct {
 		label string
@@ -24,6 +26,10 @@ func TestSpecMatchesClosureConstructors(t *testing.T) {
 			NewCICWith(CICConfig{Entries: 2048, HistoryLen: 20, Lambda: 10, Reversal: 50})},
 		{"tnt-default", SpecTNT(75), NewTNT(75)},
 		{"tnt-custom", SpecTNTWith(TNTConfig{Entries: 1024, Lambda: 30}), NewTNTWith(TNTConfig{Entries: 1024, Lambda: 30})},
+		{"promote-low-jrs", SpecPromoteLow(SpecJRS(15)), PromoteLow{Inner: NewEnhancedJRS(15)}},
+		{"promote-low-tnt", SpecPromoteLow(SpecTNT(75)), PromoteLow{Inner: NewTNT(75)}},
+		{"demote-strong-cic", SpecDemoteStrong(SpecCICWith(CICConfig{Lambda: -75, Reversal: 50})),
+			DemoteStrong{Inner: NewCICWith(CICConfig{Lambda: -75, Reversal: 50})}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.label, func(t *testing.T) {
@@ -33,6 +39,9 @@ func TestSpecMatchesClosureConstructors(t *testing.T) {
 			}
 			if got, want := est.Name(), tc.want.Name(); got != want {
 				t.Errorf("spec-built name %q != closure-built name %q", got, want)
+			}
+			if got, want := reflect.TypeOf(est), reflect.TypeOf(tc.want); got != want {
+				t.Errorf("spec-built type %v != closure-built type %v", got, want)
 			}
 		})
 	}
@@ -58,10 +67,17 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		SpecCICWith(CICConfig{Entries: 4096, HistoryLen: 34, WeightBits: 8, Lambda: -75, Reversal: 50, TrainThreshold: 75}),
 		SpecTNT(75),
 		SpecNone(),
+		SpecPromoteLow(SpecJRS(15)),
+		SpecDemoteStrong(SpecCIC(0)),
 	} {
 		data, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// An unwrapped spec encodes exactly as it did before Wrap
+		// existed, so its wire bytes do not change.
+		if spec.Wrap == "" && strings.Contains(string(data), "wrap") {
+			t.Errorf("unwrapped spec encodes a wrap key: %s", data)
 		}
 		var back Spec
 		if err := json.Unmarshal(data, &back); err != nil {
@@ -106,6 +122,9 @@ func TestSpecValidateRejects(t *testing.T) {
 		{"jrs counter bits", SpecJRSWith(JRSConfig{CounterBits: 9}), "counter bits"},
 		{"jrs lambda negative", SpecJRSWith(JRSConfig{Lambda: -2}), "lambda"},
 		{"jrs lambda over counter range", SpecJRSWith(JRSConfig{CounterBits: 2, Lambda: 4}), "lambda"},
+		{"unknown wrap", &Spec{Kind: KindCIC, CIC: &CICConfig{}, Wrap: "invert"}, "unknown spec wrap"},
+		{"wrap on kind none", &Spec{Kind: KindNone, Wrap: WrapPromoteLow}, "needs an estimator"},
+		{"wrapped invalid inner", SpecDemoteStrong(SpecCICWith(CICConfig{Entries: -1})), "entries"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.label, func(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 
 	"bce/internal/confidence"
 	"bce/internal/config"
-	"bce/internal/gating"
 	"bce/internal/runner"
 	"bce/internal/stats"
 	"bce/internal/workload"
@@ -84,60 +83,22 @@ func AblateTrainingSignal(sz Sizes) (*AblationResult, error) {
 // §5.3's conclusion that only the multi-valued CIC output supports
 // reversal. Reported as U/P on the baseline machine.
 func AblateReversalSource(sz Sizes) (*AblationResult, error) {
-	variants := []variant{
-		{
-			Label: "cic bands (reverse y>=50, gate [-75,50))",
-			Of: func(bench string) TimingSpec {
-				return TimingSpec{
-					Bench: bench, Machine: config.Baseline40x4(),
-					Estimator: func() confidence.Estimator {
-						return confidence.NewCICWith(confidence.CICConfig{Lambda: -75, Reversal: 50})
-					},
-					Gating: gating.PL(2), Reversal: true,
-				}
-			},
-		},
-		{
-			Label: "reverse all low-conf jrs λ=15",
-			Of: func(bench string) TimingSpec {
-				return TimingSpec{
-					Bench: bench, Machine: config.Baseline40x4(),
-					Estimator: func() confidence.Estimator {
-						return confidence.PromoteLow{Inner: confidence.NewEnhancedJRS(15)}
-					},
-					Reversal: true,
-				}
-			},
-		},
-		{
-			Label: "reverse all low-conf tnt λ=75",
-			Of: func(bench string) TimingSpec {
-				return TimingSpec{
-					Bench: bench, Machine: config.Baseline40x4(),
-					Estimator: func() confidence.Estimator {
-						return confidence.PromoteLow{Inner: confidence.NewTNT(75)}
-					},
-					Reversal: true,
-				}
-			},
-		},
-		{
-			Label: "gating-only (demoted cic bands)",
-			Of: func(bench string) TimingSpec {
-				return TimingSpec{
-					Bench: bench, Machine: config.Baseline40x4(),
-					Estimator: func() confidence.Estimator {
-						return confidence.DemoteStrong{Inner: confidence.NewCICWith(
-							confidence.CICConfig{Lambda: -75, Reversal: 50})}
-					},
-					Gating: gating.PL(2),
-				}
-			},
-		},
+	cicBands := confidence.SpecCICWith(confidence.CICConfig{Lambda: -75, Reversal: 50})
+	job := func(est *confidence.Spec, pl int, reversal bool) func(bench string) JobSpec {
+		return func(bench string) JobSpec {
+			return JobSpec{
+				Bench: bench, Machine: config.Baseline40x4(),
+				Estimator: est, GateThreshold: pl, Reversal: reversal,
+			}
+		}
 	}
-	rows, err := gatingSweep(sz, func(bench string) TimingSpec {
-		return TimingSpec{Bench: bench, Machine: config.Baseline40x4()}
-	}, variants)
+	variants := []variant{
+		{"cic bands (reverse y>=50, gate [-75,50))", job(cicBands, 2, true)},
+		{"reverse all low-conf jrs λ=15", job(confidence.SpecPromoteLow(confidence.SpecJRS(15)), 0, true)},
+		{"reverse all low-conf tnt λ=75", job(confidence.SpecPromoteLow(confidence.SpecTNT(75)), 0, true)},
+		{"gating-only (demoted cic bands)", job(confidence.SpecDemoteStrong(cicBands), 2, false)},
+	}
+	rows, err := gatingSweep(sz, job(nil, 0, false), variants)
 	if err != nil {
 		return nil, err
 	}
@@ -158,17 +119,16 @@ func AblateTrainingSite(sz Sizes) (*AblationResult, error) {
 	}
 	perBench, err := mapBench(func(ctx context.Context, bench string) ([2]acc, error) {
 		var out [2]acc
-		base, err := runTiming(ctx, TimingSpec{Bench: bench, Machine: config.Baseline40x4()}, sz)
+		base, err := runTiming(ctx, JobSpec{Bench: bench, Machine: config.Baseline40x4()}, sz)
 		if err != nil {
 			return out, err
 		}
-		for i, spec := range []bool{false, true} {
-			s := TimingSpec{
+		for i, speculative := range []bool{false, true} {
+			r, err := runTiming(ctx, JobSpec{
 				Bench: bench, Machine: config.Baseline40x4(),
-				Estimator: func() confidence.Estimator { return confidence.NewCIC(0) },
-				Gating:    gating.PL(1),
-			}
-			r, err := runTimingSpecTrain(ctx, s, sz, spec)
+				Estimator: confidence.SpecCIC(0), GateThreshold: 1,
+				SpeculativeTrain: speculative,
+			}, sz)
 			if err != nil {
 				return out, err
 			}
@@ -269,14 +229,13 @@ func Variability(lambda, pl int, sz Sizes) (*VariabilityReport, error) {
 		PerBenchmark: make(map[string][2]float64),
 	}
 	perBench, err := mapBench(func(ctx context.Context, bench string) ([2]float64, error) {
-		base, err := runTiming(ctx, TimingSpec{Bench: bench, Machine: config.Baseline40x4()}, sz)
+		base, err := runTiming(ctx, JobSpec{Bench: bench, Machine: config.Baseline40x4()}, sz)
 		if err != nil {
 			return [2]float64{}, err
 		}
-		r, err := runTiming(ctx, TimingSpec{
+		r, err := runTiming(ctx, JobSpec{
 			Bench: bench, Machine: config.Baseline40x4(),
-			Estimator: func() confidence.Estimator { return confidence.NewCIC(lambda) },
-			Gating:    gating.PL(pl),
+			Estimator: confidence.SpecCIC(lambda), GateThreshold: pl,
 		}, sz)
 		if err != nil {
 			return [2]float64{}, err

@@ -15,7 +15,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"bce/internal/confidence"
 	"bce/internal/metrics"
 	"bce/internal/runner"
 	"bce/internal/workload"
@@ -294,27 +293,4 @@ func dirStoreOrNil() runner.Store {
 		return nil
 	}
 	return execDirStore
-}
-
-// timingKey canonicalizes a timing run's full configuration into its
-// cache key. The estimator is identified by constructing one instance
-// and taking its Name(), which encodes geometry and thresholds;
-// estimator constructors are cheap next to a timing simulation. mkEst
-// is the resolved factory from TimingSpec.makeEstimator, so a
-// declarative spec and the equivalent closure produce the same key.
-func timingKey(spec TimingSpec, mkEst func() confidence.Estimator, sz Sizes, speculativeTrain bool) string {
-	est := "none"
-	if mkEst != nil {
-		est = mkEst().Name()
-	}
-	return runner.KeyOf(
-		"timing", 2, // schema version: bump when Run or the sim semantics change (2: Run.Segments)
-		spec.Bench,
-		fmt.Sprintf("%+v", spec.Machine),
-		spec.Predictor,
-		est,
-		spec.Gating.Threshold, spec.Gating.Latency,
-		spec.Reversal, spec.Perfect, speculativeTrain,
-		sz.Warmup, sz.Measure, sz.segments(),
-	)
 }

@@ -7,7 +7,6 @@ import (
 
 	"bce/internal/confidence"
 	"bce/internal/config"
-	"bce/internal/gating"
 	"bce/internal/metrics"
 )
 
@@ -178,15 +177,15 @@ func Combined(m config.Machine, sz Sizes) (*CombinedResult, error) {
 		Reversal: 50,  // strongly-low band: reverse above the MB/CB crossover
 	})
 	rows, err := mapBench(func(ctx context.Context, bench string) (CombinedRow, error) {
-		base, err := runTiming(ctx, TimingSpec{Bench: bench, Machine: m}, sz)
+		base, err := runTiming(ctx, JobSpec{Bench: bench, Machine: m}, sz)
 		if err != nil {
 			return CombinedRow{}, err
 		}
-		r, err := runTiming(ctx, TimingSpec{
+		r, err := runTiming(ctx, JobSpec{
 			Bench: bench, Machine: m,
-			EstSpec:  estSpec,
-			Gating:   gating.PL(2),
-			Reversal: true,
+			Estimator:     estSpec,
+			GateThreshold: 2,
+			Reversal:      true,
 		}, sz)
 		if err != nil {
 			return CombinedRow{}, err
@@ -256,17 +255,17 @@ func Latency(sz Sizes) (*LatencyResult, error) {
 	mk := func(latency int) variant {
 		return variant{
 			Label: fmt.Sprintf("latency=%d", latency),
-			Of: func(bench string) TimingSpec {
-				return TimingSpec{
+			Of: func(bench string) JobSpec {
+				return JobSpec{
 					Bench: bench, Machine: config.Baseline40x4(),
-					EstSpec: confidence.SpecCIC(0),
-					Gating:  gating.Policy{Threshold: 1, Latency: latency},
+					Estimator:     confidence.SpecCIC(0),
+					GateThreshold: 1, GateLatency: latency,
 				}
 			},
 		}
 	}
-	rows, err := gatingSweep(sz, func(bench string) TimingSpec {
-		return TimingSpec{Bench: bench, Machine: config.Baseline40x4()}
+	rows, err := gatingSweep(sz, func(bench string) JobSpec {
+		return JobSpec{Bench: bench, Machine: config.Baseline40x4()}
 	}, []variant{mk(1), mk(9)})
 	if err != nil {
 		return nil, err

@@ -147,7 +147,7 @@ func RunFunctional(cfg FunctionalConfig) (FunctionalResult, error) {
 }
 
 // functionalKey canonicalizes a functional run's configuration the way
-// timingKey does for timing runs. Functional runs are not cached, so
+// JobSpec.Key does for timing runs. Functional runs are not cached, so
 // the key exists purely to identify the job in run manifests; the
 // estimator is identified by building one throwaway instance (cheap
 // next to the run itself).

@@ -1,13 +1,12 @@
 package core
 
-// jobspec.go defines the serializable form of a timing simulation: the
-// job type the distributed sweep layer (internal/dist) ships to worker
-// processes. A JobSpec is a declarative TimingSpec — the estimator is
-// a confidence.Spec instead of a constructor closure — plus the run
-// sizes, so Key() reproduces exactly the content-addressed cache key
-// the in-process path uses. Byte-identity of distributed sweeps rests
-// on that equality: a worker files its result under the same key the
-// coordinator's final aggregation pass looks up.
+// jobspec.go defines JobSpec, the one description of a timing
+// simulation. Experiments build JobSpecs in-process, the planner
+// records them, and the distributed sweep layer (internal/dist) ships
+// them to worker processes as JSON. Every path derives the
+// content-addressed cache key from the same Key() method and executes
+// through ExecJob, so a worker files its result under exactly the key
+// the coordinator's final aggregation pass looks up.
 
 import (
 	"context"
@@ -17,6 +16,9 @@ import (
 	"bce/internal/config"
 	"bce/internal/gating"
 	"bce/internal/metrics"
+	"bce/internal/pipeline"
+	"bce/internal/runner"
+	"bce/internal/workload"
 )
 
 // Job-size sanity bounds. JobSpecs arrive over the wire, so hostile or
@@ -38,8 +40,10 @@ type JobSizes struct {
 	Segments int `json:"segments"`
 }
 
-// JobSpec is one timing simulation in wire form. Every field is plain
-// data; TimingSpec converts back to the executable form.
+// JobSpec is one timing simulation: a benchmark on a machine with a
+// predictor, an optional estimator and the gating/reversal settings,
+// plus the run sizes. Every field is plain data, so a JobSpec crosses
+// process boundaries unchanged.
 type JobSpec struct {
 	// Bench is the workload name.
 	Bench string `json:"bench"`
@@ -48,7 +52,9 @@ type JobSpec struct {
 	// registry.
 	Machine config.Machine `json:"machine"`
 	// Predictor names the baseline predictor kind
-	// ("bimodal-gshare" or "gshare-perceptron").
+	// ("bimodal-gshare" or "gshare-perceptron"). Experiments may leave
+	// it empty for the bimodal-gshare baseline; the wire form must name
+	// it.
 	Predictor string `json:"predictor"`
 	// Estimator declaratively describes the confidence estimator; nil
 	// means none (the ungated baseline).
@@ -56,12 +62,14 @@ type JobSpec struct {
 	// GateThreshold and GateLatency mirror gating.Policy.
 	GateThreshold int `json:"gate_threshold,omitempty"`
 	GateLatency   int `json:"gate_latency,omitempty"`
-	// Reversal, Perfect and SpeculativeTrain mirror the TimingSpec
-	// flags and the training-site ablation knob.
+	// Reversal enables branch reversal, Perfect replaces the predictor
+	// with an oracle, and SpeculativeTrain trains the estimator at
+	// fetch instead of retirement (the training-site ablation).
 	Reversal         bool `json:"reversal,omitempty"`
 	Perfect          bool `json:"perfect,omitempty"`
 	SpeculativeTrain bool `json:"speculative_train,omitempty"`
-	// Sizes is the run length.
+	// Sizes is the run length. Experiments leave it zero; runTiming
+	// fills it from the sweep's Sizes.
 	Sizes JobSizes `json:"sizes"`
 }
 
@@ -74,31 +82,6 @@ func predictorKindFromString(s string) (PredictorKind, error) {
 		return GsharePerceptron, nil
 	}
 	return 0, fmt.Errorf("core: unknown predictor kind %q", s)
-}
-
-// jobSpecOf converts an in-process timing job to wire form. The second
-// return is false when the job is not wire-expressible — its estimator
-// exists only as a closure — and must run locally.
-func jobSpecOf(spec TimingSpec, sz Sizes, speculativeTrain bool) (JobSpec, bool) {
-	if spec.Estimator != nil && spec.EstSpec == nil {
-		return JobSpec{}, false
-	}
-	return JobSpec{
-		Bench:            spec.Bench,
-		Machine:          spec.Machine,
-		Predictor:        spec.Predictor.String(),
-		Estimator:        spec.EstSpec,
-		GateThreshold:    spec.Gating.Threshold,
-		GateLatency:      spec.Gating.Latency,
-		Reversal:         spec.Reversal,
-		Perfect:          spec.Perfect,
-		SpeculativeTrain: speculativeTrain,
-		Sizes: JobSizes{
-			Warmup:   sz.Warmup,
-			Measure:  sz.Measure,
-			Segments: sz.segments(),
-		},
-	}, true
 }
 
 // Validate rejects a JobSpec that could not have come from a real
@@ -134,55 +117,109 @@ func (j JobSpec) Validate() error {
 	return nil
 }
 
-// timingSpec converts back to the executable form.
-func (j JobSpec) timingSpec() (TimingSpec, Sizes, error) {
-	kind, err := predictorKindFromString(j.Predictor)
-	if err != nil {
-		return TimingSpec{}, Sizes{}, err
-	}
-	spec := TimingSpec{
-		Bench:     j.Bench,
-		Machine:   j.Machine,
-		Predictor: kind,
-		EstSpec:   j.Estimator,
-		Gating:    gating.Policy{Threshold: j.GateThreshold, Latency: j.GateLatency},
-		Reversal:  j.Reversal,
-		Perfect:   j.Perfect,
-	}
-	sz := Sizes{Warmup: j.Sizes.Warmup, Measure: j.Sizes.Measure, Segments: j.Sizes.Segments}
-	return spec, sz, nil
-}
-
-// Key returns the job's content-addressed cache key — identical to the
-// key the in-process sweep derives for the same configuration, which
-// is what lets remote results merge back byte-identically.
+// Key validates the job and canonicalizes its full configuration into
+// its content-addressed cache key. The estimator is identified by
+// building one instance and taking its Name(), which encodes geometry,
+// thresholds and any band wrap; estimator constructors are cheap next
+// to a timing simulation.
 func (j JobSpec) Key() (string, error) {
 	if err := j.Validate(); err != nil {
 		return "", err
 	}
-	spec, sz, err := j.timingSpec()
+	est, err := j.Estimator.Build()
 	if err != nil {
 		return "", err
 	}
-	mkEst, err := spec.makeEstimator()
-	if err != nil {
-		return "", err
+	name := "none"
+	if est != nil {
+		name = est.Name()
 	}
-	return timingKey(spec, mkEst, sz, j.SpeculativeTrain), nil
+	return runner.KeyOf(
+		"timing", 2, // schema version: bump when Run or the sim semantics change (2: Run.Segments)
+		j.Bench,
+		fmt.Sprintf("%+v", j.Machine),
+		j.Predictor,
+		name,
+		j.GateThreshold, j.GateLatency,
+		j.Reversal, j.Perfect, j.SpeculativeTrain,
+		j.Sizes.Warmup, j.Sizes.Measure, j.Sizes.Segments,
+	), nil
 }
 
-// ExecJob validates and executes one wire-form job in this process,
-// through the normal cached path: the result lands in the local result
-// cache (and any attached store), the job observer sees it, and
-// repeated execution of the same job is served from cache. This is the
-// entry point worker processes call for every job in a batch.
+// ExecJob validates and executes one job in this process through the
+// result cache: the ungated baseline a dozen tables share runs once,
+// not once per caller; the result lands in any attached store; and the
+// job observer sees it. Experiments reach it through runTiming, worker
+// processes call it for every job in a batch. The context classifies
+// the enclosing runner job for progress ETAs (cache hit vs fresh
+// simulation).
 func ExecJob(ctx context.Context, j JobSpec) (metrics.Run, error) {
-	if err := j.Validate(); err != nil {
-		return metrics.Run{}, err
-	}
-	spec, sz, err := j.timingSpec()
+	key, err := j.Key()
 	if err != nil {
 		return metrics.Run{}, err
 	}
-	return runTimingSpecTrain(ctx, spec, sz, j.SpeculativeTrain)
+	// A collecting (plan-mode) sweep records the job instead of running
+	// it; the zero result it returns feeds aggregation arithmetic whose
+	// output the planner discards.
+	if planRecording() {
+		planRecord(j, key)
+		return metrics.Run{}, nil
+	}
+	fresh := false
+	r, err := resultCache.Do(key, func() (metrics.Run, error) {
+		fresh = true
+		return j.simulate()
+	})
+	// A job is "cached" only if every simulation it asked for was
+	// served from the cache; one fresh run re-latches it as computed.
+	if fresh {
+		runner.MarkComputed(ctx)
+	} else {
+		runner.MarkCached(ctx)
+	}
+	if err == nil {
+		run := r
+		observeJob(JobRecord{Key: key, Kind: "timing", Bench: j.Bench, Cached: !fresh, Run: &run})
+	}
+	return r, err
+}
+
+// simulate executes a validated job. When it requests multiple
+// segments, each runs on a fresh machine over an independent
+// runtime-randomness stream of the same static program — the segment
+// index flows into the workload's seed derivation, so every
+// (config, segment) job draws deterministic, order-independent
+// randomness — and the counters are merged (the paper's
+// two-segments-per-benchmark methodology, §4).
+func (j JobSpec) simulate() (metrics.Run, error) {
+	prof, err := workload.ByName(j.Bench)
+	if err != nil {
+		return metrics.Run{}, err
+	}
+	kind, err := predictorKindFromString(j.Predictor)
+	if err != nil {
+		return metrics.Run{}, err
+	}
+	var merged metrics.Run
+	for seg := 0; seg < j.Sizes.Segments; seg++ {
+		p := prof
+		p.Segment = seg
+		opt := pipeline.Options{
+			Machine:            j.Machine,
+			Perfect:            j.Perfect,
+			Reversal:           j.Reversal,
+			Gating:             gating.Policy{Threshold: j.GateThreshold, Latency: j.GateLatency},
+			SpeculativeCETrain: j.SpeculativeTrain,
+		}
+		if !j.Perfect {
+			opt.Predictor = kind.make()
+		}
+		if opt.Estimator, err = j.Estimator.Build(); err != nil {
+			return metrics.Run{}, err
+		}
+		sim := pipeline.New(opt, workload.New(p))
+		sim.Run(j.Sizes.Warmup)
+		merged.Merge(sim.Run(j.Sizes.Measure))
+	}
+	return merged, nil
 }

@@ -5,20 +5,16 @@ package core
 // runTiming — so the job space is not reified anywhere. CollectJobs
 // recovers it: it re-runs the sweep function in a recording mode where
 // every timing simulation is intercepted at the cache boundary,
-// recorded as a wire-form JobSpec, and answered with a zero result.
-// Control flow never branches on simulation results (jobs are
-// independent by construction; see internal/runner), so the recording
-// pass visits exactly the jobs a real pass would execute, in seconds
-// instead of minutes.
+// recorded as its JobSpec, and answered with a zero result. Control
+// flow never branches on simulation results (jobs are independent by
+// construction; see internal/runner), so the recording pass visits
+// exactly the jobs a real pass would execute, in seconds instead of
+// minutes.
 //
-// The recorded set deliberately excludes two classes of work:
-//
-//   - jobs whose results are already on hand (in-memory cache,
-//     checkpoint journal, or on-disk store) — a resumed coordinator
-//     must not re-dispatch finished simulations;
-//   - jobs that are not wire-expressible (closure-built estimators,
-//     used by some ablations) — these run locally during the final
-//     aggregation pass, exactly as before.
+// Every timing job is a plain-data JobSpec, so every job can ship. The
+// recorded set excludes only jobs whose results are already on hand
+// (in-memory cache, checkpoint journal, or on-disk store): a resumed
+// coordinator must not re-dispatch finished simulations.
 //
 // Functional (confidence-only) runs are also skipped during recording:
 // they are orders of magnitude cheaper than timing runs and are not
@@ -34,17 +30,14 @@ import (
 
 // Plan is the enumerated job space of one sweep.
 type Plan struct {
-	// Jobs are the wire-form timing jobs to execute, sorted by cache
-	// key so sharding is deterministic for any recording schedule.
+	// Jobs are the timing jobs to execute, sorted by cache key so
+	// sharding is deterministic for any recording schedule.
 	Jobs []JobSpec
 	// Keys[i] is Jobs[i]'s content-addressed cache key.
 	Keys []string
 	// Stored counts distinct jobs skipped because a result was already
 	// cached, journaled, or stored on disk.
 	Stored int
-	// Local counts distinct jobs that cannot be expressed in wire form
-	// and will run in-process during the aggregation pass.
-	Local int
 }
 
 // planState is the process-wide recorder. planning is read on the hot
@@ -58,14 +51,13 @@ var planState struct {
 	jobs     []JobSpec
 	keys     []string
 	stored   int
-	local    int
 }
 
 // planRecording reports whether a CollectJobs pass is active.
 func planRecording() bool { return planState.planning.Load() }
 
 // planRecord records one intercepted timing job under its cache key.
-func planRecord(spec TimingSpec, sz Sizes, speculativeTrain bool, key string) {
+func planRecord(j JobSpec, key string) {
 	planState.mu.Lock()
 	defer planState.mu.Unlock()
 	if _, dup := planState.seen[key]; dup {
@@ -76,12 +68,7 @@ func planRecord(spec TimingSpec, sz Sizes, speculativeTrain bool, key string) {
 		planState.stored++
 		return
 	}
-	js, ok := jobSpecOf(spec, sz, speculativeTrain)
-	if !ok {
-		planState.local++
-		return
-	}
-	planState.jobs = append(planState.jobs, js)
+	planState.jobs = append(planState.jobs, j)
 	planState.keys = append(planState.keys, key)
 }
 
@@ -99,7 +86,7 @@ func CollectJobs(fn func() error) (*Plan, error) {
 	planState.mu.Lock()
 	planState.seen = make(map[string]struct{})
 	planState.jobs, planState.keys = nil, nil
-	planState.stored, planState.local = 0, 0
+	planState.stored = 0
 	planState.mu.Unlock()
 
 	err := fn()
@@ -110,7 +97,6 @@ func CollectJobs(fn func() error) (*Plan, error) {
 		Jobs:   planState.jobs,
 		Keys:   planState.keys,
 		Stored: planState.stored,
-		Local:  planState.local,
 	}
 	planState.seen, planState.jobs, planState.keys = nil, nil, nil
 	planState.mu.Unlock()

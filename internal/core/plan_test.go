@@ -9,96 +9,86 @@ import (
 
 	"bce/internal/confidence"
 	"bce/internal/config"
-	"bce/internal/gating"
 	"bce/internal/metrics"
 )
 
 // plan_test.go pins the contracts distributed execution rests on:
-// JobSpec.Key() must equal the in-process timing key for the same
-// configuration (otherwise remote results never merge), and
-// CollectJobs must enumerate the job space deterministically while
-// excluding stored results and closure-only jobs.
+// JobSpec.Key() must reproduce the cache keys already on disk
+// (otherwise stored results, journals and manifests stop matching),
+// and CollectJobs must enumerate the job space deterministically while
+// excluding stored results.
 
-// TestJobSpecKeyMatchesTimingKey is the byte-identity cornerstone: for
-// every wire-expressible configuration, the key a worker derives from
-// the decoded JobSpec must equal the key the coordinator's in-process
-// aggregation pass computes. If these ever diverge, distributed sweeps
-// recompute everything (or worse, silently miss the merge).
+// m40c4w is how the baseline machine prints inside a timing key.
+const m40c4w = "{Name:40c4w Depth:40 FetchWidth:4 DispatchWidth:4 IssueWidth:6 RetireWidth:4 FrontendDepth:10 BranchResolveExtra:36 BranchPerCycle:2 ROB:128 LoadBufs:48 StoreBufs:32 IntSched:48 MemSched:24 FPSched:56 IntUnits:3 MemUnits:2 FPUnits:1 TraceCacheUops:12288 TraceCacheAssoc:8 TCMissPenalty:3}"
+
+// TestJobSpecKeyMatchesTimingKey is the byte-identity cornerstone. The
+// want keys are literals recorded from the in-process timing key
+// function that existed before JobSpec.Key() became the only key
+// path; an experiment's job (completed by sized, as runTiming does)
+// must keep producing them, so existing result caches, checkpoint
+// journals and manifests stay valid.
 func TestJobSpecKeyMatchesTimingKey(t *testing.T) {
 	base := config.Baseline40x4()
 	cases := []struct {
 		label string
-		spec  TimingSpec
+		job   JobSpec
 		sz    Sizes
-		train bool
+		want  string
 	}{
-		{"ungated baseline", TimingSpec{Bench: "gzip", Machine: base},
-			Sizes{Warmup: 1000, Measure: 3000, Segments: 1}, false},
-		{"cic gated", TimingSpec{
+		{"ungated baseline", JobSpec{Bench: "gzip", Machine: base},
+			Sizes{Warmup: 1000, Measure: 3000, Segments: 1},
+			"timing|2|gzip|" + m40c4w + "|bimodal-gshare|none|0|0|false|false|false|1000|3000|1"},
+		{"cic gated", JobSpec{
 			Bench: "gcc", Machine: base,
-			EstSpec: confidence.SpecCIC(25), Gating: gating.PL(1),
-		}, Sizes{Warmup: 1000, Measure: 3000, Segments: 2}, false},
-		{"jrs", TimingSpec{
+			Estimator: confidence.SpecCIC(25), GateThreshold: 1,
+		}, Sizes{Warmup: 1000, Measure: 3000, Segments: 2},
+			"timing|2|gcc|" + m40c4w + "|bimodal-gshare|perceptron_cic-P128W8H32(λ=25)|1|0|false|false|false|1000|3000|2"},
+		{"jrs", JobSpec{
 			Bench: "vortex", Machine: base,
-			EstSpec: confidence.SpecJRS(14),
-		}, Sizes{Warmup: 1000, Measure: 3000, Segments: 1}, false},
-		{"tnt reversal", TimingSpec{
-			Bench: "twolf", Machine: base, Predictor: GsharePerceptron,
-			EstSpec: confidence.SpecTNT(75), Reversal: true,
-		}, Sizes{Warmup: 500, Measure: 2000, Segments: 1}, false},
-		{"perfect speculative-train", TimingSpec{
+			Estimator: confidence.SpecJRS(14),
+		}, Sizes{Warmup: 1000, Measure: 3000, Segments: 1},
+			"timing|2|vortex|" + m40c4w + "|bimodal-gshare|jrs-enhanced(λ=14)|0|0|false|false|false|1000|3000|1"},
+		{"tnt reversal", JobSpec{
+			Bench: "twolf", Machine: base, Predictor: GsharePerceptron.String(),
+			Estimator: confidence.SpecTNT(75), Reversal: true,
+		}, Sizes{Warmup: 500, Measure: 2000, Segments: 1},
+			"timing|2|twolf|" + m40c4w + "|gshare-perceptron|perceptron_tnt-P128W8H32(λ=75)|0|0|true|false|false|500|2000|1"},
+		{"perfect speculative-train", JobSpec{
 			Bench: "gzip", Machine: base,
-			EstSpec: confidence.SpecCIC(0), Perfect: true,
-		}, Sizes{Warmup: 1000, Measure: 3000, Segments: 1}, true},
-		{"explicit none spec", TimingSpec{
-			Bench: "gcc", Machine: base, EstSpec: confidence.SpecNone(),
-		}, Sizes{Warmup: 1000, Measure: 3000, Segments: 1}, false},
-		// Segments 0 normalizes to 1 on both paths.
-		{"zero segments", TimingSpec{Bench: "gzip", Machine: base},
-			Sizes{Warmup: 1000, Measure: 3000}, false},
+			Estimator: confidence.SpecCIC(0), Perfect: true, SpeculativeTrain: true,
+		}, Sizes{Warmup: 1000, Measure: 3000, Segments: 1},
+			"timing|2|gzip|" + m40c4w + "|bimodal-gshare|perceptron_cic-P128W8H32(λ=0)|0|0|false|true|true|1000|3000|1"},
+		{"explicit none spec", JobSpec{
+			Bench: "gcc", Machine: base, Estimator: confidence.SpecNone(),
+		}, Sizes{Warmup: 1000, Measure: 3000, Segments: 1},
+			"timing|2|gcc|" + m40c4w + "|bimodal-gshare|none|0|0|false|false|false|1000|3000|1"},
+		// Segments 0 normalizes to 1.
+		{"zero segments", JobSpec{Bench: "gzip", Machine: base},
+			Sizes{Warmup: 1000, Measure: 3000},
+			"timing|2|gzip|" + m40c4w + "|bimodal-gshare|none|0|0|false|false|false|1000|3000|1"},
+		{"promote-low jrs reversal", JobSpec{
+			Bench: "mcf", Machine: base,
+			Estimator: confidence.SpecPromoteLow(confidence.SpecJRS(15)), Reversal: true,
+		}, Sizes{Warmup: 1000, Measure: 3000, Segments: 1},
+			"timing|2|mcf|" + m40c4w + "|bimodal-gshare|promote-low(jrs-enhanced(λ=15))|0|0|true|false|false|1000|3000|1"},
+		{"demote-strong cic gated", JobSpec{
+			Bench: "gap", Machine: base,
+			Estimator: confidence.SpecDemoteStrong(
+				confidence.SpecCICWith(confidence.CICConfig{Lambda: -75, Reversal: 50})),
+			GateThreshold: 2,
+		}, Sizes{Warmup: 1000, Measure: 3000, Segments: 1},
+			"timing|2|gap|" + m40c4w + "|bimodal-gshare|demote-strong(perceptron_cic-P128W8H32(λ=-75,rev=50))|2|0|false|false|false|1000|3000|1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.label, func(t *testing.T) {
-			js, ok := jobSpecOf(tc.spec, tc.sz, tc.train)
-			if !ok {
-				t.Fatal("configuration unexpectedly not wire-expressible")
-			}
-			wireKey, err := js.Key()
+			got, err := tc.job.sized(tc.sz).Key()
 			if err != nil {
-				t.Fatalf("JobSpec.Key: %v", err)
+				t.Fatalf("Key: %v", err)
 			}
-			mkEst, err := tc.spec.makeEstimator()
-			if err != nil {
-				t.Fatal(err)
-			}
-			localKey := timingKey(tc.spec, mkEst, tc.sz, tc.train)
-			if wireKey != localKey {
-				t.Errorf("wire key %q != in-process key %q", wireKey, localKey)
+			if got != tc.want {
+				t.Errorf("key drifted:\n got  %q\n want %q", got, tc.want)
 			}
 		})
-	}
-}
-
-// TestJobSpecOfClosureFallback: a closure-built estimator has no wire
-// form, so jobSpecOf must decline; when a declarative spec is also
-// present it wins and the job ships.
-func TestJobSpecOfClosureFallback(t *testing.T) {
-	sz := Sizes{Warmup: 1000, Measure: 3000, Segments: 1}
-	closureOnly := TimingSpec{
-		Bench: "gzip", Machine: config.Baseline40x4(),
-		Estimator: func() confidence.Estimator { return confidence.NewCIC(0) },
-	}
-	if _, ok := jobSpecOf(closureOnly, sz, false); ok {
-		t.Error("closure-only estimator reported wire-expressible")
-	}
-	both := closureOnly
-	both.EstSpec = confidence.SpecCIC(0)
-	js, ok := jobSpecOf(both, sz, false)
-	if !ok {
-		t.Fatal("spec+closure configuration must be wire-expressible")
-	}
-	if _, err := js.Key(); err != nil {
-		t.Errorf("Key: %v", err)
 	}
 }
 
@@ -122,7 +112,12 @@ func TestJobSpecValidateRejects(t *testing.T) {
 	}{
 		{"empty bench", func(j *JobSpec) { j.Bench = "" }, "bench"},
 		{"unknown predictor", func(j *JobSpec) { j.Predictor = "oracle" }, "predictor"},
+		// Only runTiming defaults the predictor; the wire must name it.
+		{"empty predictor", func(j *JobSpec) { j.Predictor = "" }, "predictor"},
 		{"bad estimator spec", func(j *JobSpec) { j.Estimator = &confidence.Spec{Kind: "quantum"} }, "unknown"},
+		{"bad estimator wrap", func(j *JobSpec) {
+			j.Estimator = &confidence.Spec{Kind: confidence.KindNone, Wrap: confidence.WrapPromoteLow}
+		}, "wrap"},
 		{"negative gating", func(j *JobSpec) { j.GateThreshold = -1 }, "gating"},
 		{"zero measure", func(j *JobSpec) { j.Sizes.Measure = 0 }, "measure"},
 		{"absurd warmup", func(j *JobSpec) { j.Sizes.Warmup = maxJobUops + 1 }, "uops"},
@@ -151,12 +146,12 @@ func planSweep(benches []string, lambdas []int) func() error {
 	return func() error {
 		for _, bench := range benches {
 			for _, lambda := range lambdas {
-				spec := TimingSpec{
+				job := JobSpec{
 					Bench: bench, Machine: config.Baseline40x4(),
-					EstSpec: confidence.SpecCIC(lambda), Gating: gating.PL(1),
+					Estimator: confidence.SpecCIC(lambda), GateThreshold: 1,
 				}
 				sz := Sizes{Warmup: 1000, Measure: 3000, Segments: 1}
-				if _, err := runTiming(context.Background(), spec, sz); err != nil {
+				if _, err := runTiming(context.Background(), job, sz); err != nil {
 					return err
 				}
 			}
@@ -241,39 +236,6 @@ func TestCollectJobsExcludesStored(t *testing.T) {
 		if k == full.Keys[1] {
 			t.Error("stored key re-dispatched")
 		}
-	}
-}
-
-// TestCollectJobsCountsLocal: closure-only estimators cannot ship, so
-// the planner must divert them to the Local count instead of the job
-// list.
-func TestCollectJobsCountsLocal(t *testing.T) {
-	ResetResultCache()
-	defer ResetResultCache()
-	plan, err := CollectJobs(func() error {
-		sz := Sizes{Warmup: 1000, Measure: 3000, Segments: 1}
-		local := TimingSpec{
-			Bench: "gzip", Machine: config.Baseline40x4(),
-			Estimator: func() confidence.Estimator { return confidence.NewCIC(0) },
-		}
-		if _, err := runTiming(context.Background(), local, sz); err != nil {
-			return err
-		}
-		wire := TimingSpec{
-			Bench: "gzip", Machine: config.Baseline40x4(),
-			EstSpec: confidence.SpecCIC(25),
-		}
-		_, err := runTiming(context.Background(), wire, sz)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Local != 1 {
-		t.Errorf("Local = %d, want 1", plan.Local)
-	}
-	if len(plan.Jobs) != 1 {
-		t.Errorf("plan has %d wire jobs, want 1", len(plan.Jobs))
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"bce/internal/confidence"
 	"bce/internal/config"
-	"bce/internal/gating"
 	"bce/internal/metrics"
 )
 
@@ -37,14 +36,13 @@ func sweepResults(t *testing.T, workers int, sz Sizes) []byte {
 	SetParallelism(workers)
 	defer SetParallelism(0)
 	runs, err := mapBench(func(ctx context.Context, bench string) ([2]metrics.Run, error) {
-		base, err := runTiming(ctx, TimingSpec{Bench: bench, Machine: config.Baseline40x4()}, sz)
+		base, err := runTiming(ctx, JobSpec{Bench: bench, Machine: config.Baseline40x4()}, sz)
 		if err != nil {
 			return [2]metrics.Run{}, err
 		}
-		gated, err := runTiming(ctx, TimingSpec{
+		gated, err := runTiming(ctx, JobSpec{
 			Bench: bench, Machine: config.Baseline40x4(),
-			Estimator: func() confidence.Estimator { return confidence.NewCIC(0) },
-			Gating:    gating.PL(1),
+			Estimator: confidence.SpecCIC(0), GateThreshold: 1,
 		}, sz)
 		if err != nil {
 			return [2]metrics.Run{}, err
@@ -91,9 +89,9 @@ func TestResultCacheServesRepeats(t *testing.T) {
 	ResetResultCache()
 	defer ResetResultCache()
 	sz := Sizes{Warmup: 2_000, Measure: 5_000}
-	spec := TimingSpec{Bench: "gzip", Machine: config.Baseline40x4()}
+	job := JobSpec{Bench: "gzip", Machine: config.Baseline40x4()}
 
-	first, err := runTiming(context.Background(), spec, sz)
+	first, err := runTiming(context.Background(), job, sz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +100,7 @@ func TestResultCacheServesRepeats(t *testing.T) {
 		t.Fatalf("after first run: hits=%d misses=%d, want 0/1", hits, misses)
 	}
 
-	second, err := runTiming(context.Background(), spec, sz)
+	second, err := runTiming(context.Background(), job, sz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +113,7 @@ func TestResultCacheServesRepeats(t *testing.T) {
 	}
 
 	// A different configuration must not collide with the cached one.
-	perf := spec
+	perf := job
 	perf.Perfect = true
 	if _, err := runTiming(context.Background(), perf, sz); err != nil {
 		t.Fatal(err)
@@ -131,19 +129,16 @@ func TestResultCacheServesRepeats(t *testing.T) {
 func TestDistinctTrainThresholdsDistinctKeys(t *testing.T) {
 	sz := QuickSizes()
 	keyFor := func(T int) string {
-		spec := TimingSpec{
+		key, err := JobSpec{
 			Bench: "gzip", Machine: config.Baseline40x4(),
-			Estimator: func() confidence.Estimator {
-				return confidence.NewCICWith(confidence.CICConfig{
-					Lambda: 0, Reversal: confidence.DisableReversal, TrainThreshold: T,
-				})
-			},
-		}
-		mkEst, err := spec.makeEstimator()
+			Estimator: confidence.SpecCICWith(confidence.CICConfig{
+				Lambda: 0, Reversal: confidence.DisableReversal, TrainThreshold: T,
+			}),
+		}.sized(sz).Key()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return timingKey(spec, mkEst, sz, false)
+		return key
 	}
 	if keyFor(5) == keyFor(200) {
 		t.Error("timing keys collide for distinct CIC training thresholds")

@@ -7,7 +7,6 @@ import (
 
 	"bce/internal/confidence"
 	"bce/internal/config"
-	"bce/internal/gating"
 	"bce/internal/workload"
 )
 
@@ -45,11 +44,11 @@ func Table2(sz Sizes) (*Table2Result, error) {
 	rows, err := mapBench(func(ctx context.Context, bench string) (Table2Row, error) {
 		row := Table2Row{Bench: bench, PaperMispPer1K: workload.Table2Target[bench]}
 		for i, machine := range machines {
-			perfect, err := runTiming(ctx, TimingSpec{Bench: bench, Machine: machine, Perfect: true}, sz)
+			perfect, err := runTiming(ctx, JobSpec{Bench: bench, Machine: machine, Perfect: true}, sz)
 			if err != nil {
 				return row, err
 			}
-			real, err := runTiming(ctx, TimingSpec{Bench: bench, Machine: machine}, sz)
+			real, err := runTiming(ctx, JobSpec{Bench: bench, Machine: machine}, sz)
 			if err != nil {
 				return row, err
 			}
@@ -179,8 +178,8 @@ type Table4Result struct {
 // for enhanced JRS with branch-counter thresholds 1-3 and the
 // perceptron estimator with threshold 1.
 func Table4(sz Sizes) (*Table4Result, error) {
-	baseline := func(bench string) TimingSpec {
-		return TimingSpec{Bench: bench, Machine: config.Baseline40x4()}
+	baseline := func(bench string) JobSpec {
+		return JobSpec{Bench: bench, Machine: config.Baseline40x4()}
 	}
 	var variants []variant
 	for _, pl := range []int{1, 2, 3} {
@@ -188,11 +187,11 @@ func Table4(sz Sizes) (*Table4Result, error) {
 			pl, lam := pl, lam
 			variants = append(variants, variant{
 				Label: fmt.Sprintf("jrs λ=%d PL%d", lam, pl),
-				Of: func(bench string) TimingSpec {
-					return TimingSpec{
+				Of: func(bench string) JobSpec {
+					return JobSpec{
 						Bench: bench, Machine: config.Baseline40x4(),
-						EstSpec: confidence.SpecJRS(lam),
-						Gating:  gating.PL(pl),
+						Estimator:     confidence.SpecJRS(lam),
+						GateThreshold: pl,
 					}
 				},
 			})
@@ -202,11 +201,11 @@ func Table4(sz Sizes) (*Table4Result, error) {
 		lam := lam
 		variants = append(variants, variant{
 			Label: fmt.Sprintf("cic λ=%d PL1", lam),
-			Of: func(bench string) TimingSpec {
-				return TimingSpec{
+			Of: func(bench string) JobSpec {
+				return JobSpec{
 					Bench: bench, Machine: config.Baseline40x4(),
-					EstSpec: confidence.SpecCIC(lam),
-					Gating:  gating.PL(1),
+					Estimator:     confidence.SpecCIC(lam),
+					GateThreshold: 1,
 				}
 			},
 		})
@@ -266,11 +265,11 @@ func Table5(sz Sizes) (*Table5Result, error) {
 			lam := lam
 			out = append(out, variant{
 				Label: fmt.Sprintf("%s λ=%d", kind, lam),
-				Of: func(bench string) TimingSpec {
-					return TimingSpec{
-						Bench: bench, Machine: config.Baseline40x4(), Predictor: kind,
-						EstSpec: confidence.SpecCIC(lam),
-						Gating:  gating.PL(1),
+				Of: func(bench string) JobSpec {
+					return JobSpec{
+						Bench: bench, Machine: config.Baseline40x4(), Predictor: kind.String(),
+						Estimator:     confidence.SpecCIC(lam),
+						GateThreshold: 1,
 					}
 				},
 			})
@@ -278,15 +277,15 @@ func Table5(sz Sizes) (*Table5Result, error) {
 		return out
 	}
 	res := &Table5Result{}
-	rows, err := gatingSweep(sz, func(bench string) TimingSpec {
-		return TimingSpec{Bench: bench, Machine: config.Baseline40x4(), Predictor: BimodalGshare}
+	rows, err := gatingSweep(sz, func(bench string) JobSpec {
+		return JobSpec{Bench: bench, Machine: config.Baseline40x4(), Predictor: BimodalGshare.String()}
 	}, mk(BimodalGshare, []int{25, 0, -25, -50}))
 	if err != nil {
 		return nil, err
 	}
 	res.BimodalGshare = rows
-	rows, err = gatingSweep(sz, func(bench string) TimingSpec {
-		return TimingSpec{Bench: bench, Machine: config.Baseline40x4(), Predictor: GsharePerceptron}
+	rows, err = gatingSweep(sz, func(bench string) JobSpec {
+		return JobSpec{Bench: bench, Machine: config.Baseline40x4(), Predictor: GsharePerceptron.String()}
 	}, mk(GsharePerceptron, []int{0, -25, -50, -60}))
 	if err != nil {
 		return nil, err
@@ -350,23 +349,23 @@ func Table6(sz Sizes) (*Table6Result, error) {
 		cfg := cfg
 		variants = append(variants, variant{
 			Label: cfg.Label,
-			Of: func(bench string) TimingSpec {
-				return TimingSpec{
+			Of: func(bench string) JobSpec {
+				return JobSpec{
 					Bench: bench, Machine: config.Baseline40x4(),
-					EstSpec: confidence.SpecCICWith(confidence.CICConfig{
+					Estimator: confidence.SpecCICWith(confidence.CICConfig{
 						Entries:    cfg.Entries,
 						WeightBits: cfg.WeightBits,
 						HistoryLen: cfg.HistLen,
 						Lambda:     0,
 						Reversal:   confidence.DisableReversal,
 					}),
-					Gating: gating.PL(1),
+					GateThreshold: 1,
 				}
 			},
 		})
 	}
-	rows, err := gatingSweep(sz, func(bench string) TimingSpec {
-		return TimingSpec{Bench: bench, Machine: config.Baseline40x4()}
+	rows, err := gatingSweep(sz, func(bench string) JobSpec {
+		return JobSpec{Bench: bench, Machine: config.Baseline40x4()}
 	}, variants)
 	if err != nil {
 		return nil, err

@@ -3,14 +3,8 @@ package core
 import (
 	"context"
 
-	"bce/internal/confidence"
-	"bce/internal/config"
-	"bce/internal/gating"
 	"bce/internal/metrics"
-	"bce/internal/pipeline"
 	"bce/internal/predictor"
-	"bce/internal/runner"
-	"bce/internal/workload"
 )
 
 // Sizes groups the run lengths shared by the timing experiments. The
@@ -77,128 +71,22 @@ func (k PredictorKind) make() predictor.Predictor {
 	return predictor.NewBaselineHybrid()
 }
 
-// TimingSpec is one timing simulation: a benchmark on a machine with a
-// predictor, an optional estimator and the gating/reversal settings.
-type TimingSpec struct {
-	Bench     string
-	Machine   config.Machine
-	Predictor PredictorKind
-	// EstSpec declaratively describes the confidence estimator. It is
-	// the preferred form: a spec is JSON-serializable, so the job can
-	// cross a process boundary (internal/dist ships sweeps to remote
-	// workers). Nil with a nil Estimator means no estimator.
-	EstSpec *confidence.Spec
-	// Estimator builds the confidence estimator (nil = none). A
-	// closure-built estimator cannot be distributed; prefer EstSpec.
-	// When both are set, EstSpec wins.
-	Estimator func() confidence.Estimator
-	Gating    gating.Policy
-	Reversal  bool
-	Perfect   bool
+// runTiming runs one experiment job in this process, through
+// ExecJob's validate → Key() → cached-run path, the same one remote
+// workers take.
+func runTiming(ctx context.Context, j JobSpec, sz Sizes) (metrics.Run, error) {
+	return ExecJob(ctx, j.sized(sz))
 }
 
-// makeEstimator resolves the spec's estimator factory: the declarative
-// EstSpec when present, else the Estimator closure, else none. An
-// invalid EstSpec fails here, before any simulation runs.
-func (s TimingSpec) makeEstimator() (func() confidence.Estimator, error) {
-	if s.EstSpec != nil {
-		if _, err := s.EstSpec.Build(); err != nil {
-			return nil, err
-		}
-		if s.EstSpec.Kind == confidence.KindNone {
-			return nil, nil
-		}
-		spec := s.EstSpec
-		return func() confidence.Estimator {
-			est, err := spec.Build()
-			if err != nil {
-				// Unreachable: the spec validated above and Build is
-				// deterministic.
-				panic(err)
-			}
-			return est
-		}, nil
+// sized completes an experiment's job description: experiments leave
+// out the run length, which is the sweep's, and usually the predictor,
+// which defaults to the bimodal-gshare baseline.
+func (j JobSpec) sized(sz Sizes) JobSpec {
+	if j.Predictor == "" {
+		j.Predictor = BimodalGshare.String()
 	}
-	return s.Estimator, nil
-}
-
-// runTiming executes one spec and returns the measured-span counters.
-// Results are served through the suite-wide content-addressed cache:
-// the ungated baseline a dozen tables share runs once, not once per
-// caller. The context classifies the enclosing runner job for
-// progress ETAs (cache hit vs fresh simulation).
-func runTiming(ctx context.Context, spec TimingSpec, sz Sizes) (metrics.Run, error) {
-	return runTimingSpecTrain(ctx, spec, sz, false)
-}
-
-// runTimingSpecTrain is runTiming with control over the confidence
-// training site (retire vs speculative fetch-time, an ablation knob).
-func runTimingSpecTrain(ctx context.Context, spec TimingSpec, sz Sizes, speculativeTrain bool) (metrics.Run, error) {
-	mkEst, err := spec.makeEstimator()
-	if err != nil {
-		return metrics.Run{}, err
-	}
-	key := timingKey(spec, mkEst, sz, speculativeTrain)
-	// A collecting (plan-mode) sweep records the job instead of running
-	// it; the zero result it returns feeds aggregation arithmetic whose
-	// output the planner discards.
-	if planRecording() {
-		planRecord(spec, sz, speculativeTrain, key)
-		return metrics.Run{}, nil
-	}
-	fresh := false
-	r, err := resultCache.Do(key, func() (metrics.Run, error) {
-		fresh = true
-		return runTimingUncached(spec, mkEst, sz, speculativeTrain)
-	})
-	// A job is "cached" only if every simulation it asked for was
-	// served from the cache; one fresh run re-latches it as computed.
-	if fresh {
-		runner.MarkComputed(ctx)
-	} else {
-		runner.MarkCached(ctx)
-	}
-	if err == nil {
-		run := r
-		observeJob(JobRecord{Key: key, Kind: "timing", Bench: spec.Bench, Cached: !fresh, Run: &run})
-	}
-	return r, err
-}
-
-// runTimingUncached executes the simulation itself. When sz requests
-// multiple segments, each runs on a fresh machine over an independent
-// runtime-randomness stream of the same static program — the segment
-// index flows into the workload's seed derivation, so every
-// (config, segment) job draws deterministic, order-independent
-// randomness — and the counters are merged (the paper's
-// two-segments-per-benchmark methodology, §4).
-func runTimingUncached(spec TimingSpec, mkEst func() confidence.Estimator, sz Sizes, speculativeTrain bool) (metrics.Run, error) {
-	prof, err := workload.ByName(spec.Bench)
-	if err != nil {
-		return metrics.Run{}, err
-	}
-	var merged metrics.Run
-	for seg := 0; seg < sz.segments(); seg++ {
-		p := prof
-		p.Segment = seg
-		opt := pipeline.Options{
-			Machine:  spec.Machine,
-			Perfect:  spec.Perfect,
-			Reversal: spec.Reversal,
-		}
-		if !spec.Perfect {
-			opt.Predictor = spec.Predictor.make()
-		}
-		if mkEst != nil {
-			opt.Estimator = mkEst()
-		}
-		opt.Gating = spec.Gating
-		opt.SpeculativeCETrain = speculativeTrain
-		sim := pipeline.New(opt, workload.New(p))
-		sim.Run(sz.Warmup)
-		merged.Merge(sim.Run(sz.Measure))
-	}
-	return merged, nil
+	j.Sizes = JobSizes{Warmup: sz.Warmup, Measure: sz.Measure, Segments: sz.segments()}
+	return j
 }
 
 // GatingResult is one (U, P) measurement: the percentage reduction in
@@ -213,20 +101,20 @@ type GatingResult struct {
 	P float64
 }
 
-// variant pairs a display label with a per-benchmark timing spec.
+// variant pairs a display label with a per-benchmark timing job.
 type variant struct {
 	Label string
-	Of    func(bench string) TimingSpec
+	Of    func(bench string) JobSpec
 }
 
 // gatingSweep measures U and P for each estimator configuration
 // against per-benchmark ungated baselines, averaged across benchmarks
-// as the paper reports. baselineOf must yield the ungated spec for a
-// benchmark; variants yields the gated specs. Each benchmark is one
+// as the paper reports. baselineOf must yield the ungated job for a
+// benchmark; variants yields the gated jobs. Each benchmark is one
 // runner job producing its per-variant (U, P) pairs; the average is a
 // serial reduction over the ordered job results, so the output is
 // bit-identical under any worker count.
-func gatingSweep(sz Sizes, baselineOf func(bench string) TimingSpec, variants []variant) ([]GatingResult, error) {
+func gatingSweep(sz Sizes, baselineOf func(bench string) JobSpec, variants []variant) ([]GatingResult, error) {
 	type up struct{ u, p float64 }
 	perBench, err := mapBench(func(ctx context.Context, bench string) ([]up, error) {
 		base, err := runTiming(ctx, baselineOf(bench), sz)

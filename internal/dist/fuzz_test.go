@@ -16,11 +16,11 @@ func FuzzDecodeBatch(f *testing.F) {
 	if data, err := EncodeBatch(valid); err == nil {
 		f.Add(data)
 	}
-	f.Add([]byte(`{"schema":1,"jobs":[{"key":"k","spec":{}}]}`))
+	f.Add([]byte(`{"schema":2,"jobs":[{"key":"k","spec":{}}]}`))
 	f.Add([]byte(`{"schema":0,"jobs":[]}`))
-	f.Add([]byte(`{"schema":1,"jobs":[{"key":"","spec":{}}]}`))
-	f.Add([]byte(`{"schema":1,"jobs":[{"key":"a","spec":{}},{"key":"a","spec":{}}]}`))
-	f.Add([]byte(`{"schema":1,"job_timeout_ms":-5,"jobs":[{"key":"k","spec":{}}]}`))
+	f.Add([]byte(`{"schema":2,"jobs":[{"key":"","spec":{}}]}`))
+	f.Add([]byte(`{"schema":2,"jobs":[{"key":"a","spec":{}},{"key":"a","spec":{}}]}`))
+	f.Add([]byte(`{"schema":2,"job_timeout_ms":-5,"jobs":[{"key":"k","spec":{}}]}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))
@@ -47,11 +47,11 @@ func FuzzDecodeBatch(f *testing.F) {
 }
 
 func FuzzDecodeBatchResult(f *testing.F) {
-	f.Add([]byte(`{"schema":1,"worker":"w","results":[{"key":"k","run":{}}]}`))
-	f.Add([]byte(`{"schema":1,"results":[{"key":"k","err":"boom","transient":true}]}`))
-	f.Add([]byte(`{"schema":1,"results":[{"key":"k"}]}`))
-	f.Add([]byte(`{"schema":1,"results":[{"key":"k","run":{},"err":"x"}]}`))
-	f.Add([]byte(`{"schema":2,"results":[]}`))
+	f.Add([]byte(`{"schema":2,"worker":"w","results":[{"key":"k","run":{}}]}`))
+	f.Add([]byte(`{"schema":2,"results":[{"key":"k","err":"boom","transient":true}]}`))
+	f.Add([]byte(`{"schema":2,"results":[{"key":"k"}]}`))
+	f.Add([]byte(`{"schema":2,"results":[{"key":"k","run":{},"err":"x"}]}`))
+	f.Add([]byte(`{"schema":1,"results":[]}`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeBatchResult(data)

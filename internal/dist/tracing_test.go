@@ -13,13 +13,13 @@ import (
 )
 
 // TestBatchResultV1Compat pins wire compatibility in both directions
-// across the tracing change. A v1 payload — the literal bytes an
-// untraced (or pre-tracing) worker sends, no spans field — must decode
-// under this build's strict decoder; and a reply carrying no spans must
-// encode without a spans key, so a pre-tracing coordinator's
+// across the tracing change. A /dist/v1 payload — the literal bytes an
+// untraced worker of the current schema sends, no spans field — must
+// decode under this build's strict decoder; and a reply carrying no
+// spans must encode without a spans key, so an untraced coordinator's
 // DisallowUnknownFields decoder accepts it.
 func TestBatchResultV1Compat(t *testing.T) {
-	v1 := `{"schema":1,"worker":"old","results":[{"key":"k1","run":{}},{"key":"k2","err":"boom","transient":true}]}`
+	v1 := `{"schema":2,"worker":"old","results":[{"key":"k1","run":{}},{"key":"k2","err":"boom","transient":true}]}`
 	got, err := DecodeBatchResult([]byte(v1))
 	if err != nil {
 		t.Fatalf("v1 payload (no spans) rejected: %v", err)

@@ -58,7 +58,10 @@ func ContentDigest(body []byte) string {
 // could carry fields the worker would silently drop); coordinators
 // reject replies from a mismatched worker. Bump on any change to the
 // message shapes below or to the semantics of core.JobSpec fields.
-const SchemaVersion = 1
+// Version 2 added confidence.Spec.Wrap: a v1 worker's strict decoder
+// would reject a wrapped estimator mid-sweep, so skew surfaces at Ping
+// instead.
+const SchemaVersion = 2
 
 // HTTP endpoints served by a worker. The version segment is the schema
 // major version, so incompatible workers 404 instead of misparsing.

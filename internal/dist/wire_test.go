@@ -40,6 +40,14 @@ func sampleBatch() Batch {
 
 func TestBatchRoundTrip(t *testing.T) {
 	want := sampleBatch()
+	// A band-wrapped estimator (the reversal ablation's shape) ships too.
+	wrapped := sampleJob("mcf", 0)
+	wrapped.Spec.Estimator = confidence.SpecPromoteLow(confidence.SpecJRS(15))
+	var err error
+	if wrapped.Key, err = wrapped.Spec.Key(); err != nil {
+		t.Fatal(err)
+	}
+	want.Jobs = append(want.Jobs, wrapped)
 	data, err := EncodeBatch(want)
 	if err != nil {
 		t.Fatal(err)
@@ -144,8 +152,8 @@ func TestDecodeBatchStrictness(t *testing.T) {
 	for _, tc := range []struct {
 		name, payload string
 	}{
-		{"unknown field", `{"schema":1,"surprise":true,"jobs":[{"key":"k","spec":{}}]}`},
-		{"trailing garbage", `{"schema":1,"jobs":[{"key":"k","spec":{}}]} {"more":1}`},
+		{"unknown field", `{"schema":2,"surprise":true,"jobs":[{"key":"k","spec":{}}]}`},
+		{"trailing garbage", `{"schema":2,"jobs":[{"key":"k","spec":{}}]} {"more":1}`},
 		{"not json", `hello`},
 		{"wrong type", `[1,2,3]`},
 	} {
@@ -165,11 +173,11 @@ func TestDecodeBatchResultRejects(t *testing.T) {
 		want string
 	}{
 		{"schema", BatchResult{Schema: 99, Results: []JobResult{{Key: "k", Run: &run}}}, "schema"},
-		{"empty key", BatchResult{Schema: 1, Results: []JobResult{{Run: &run}}}, "empty key"},
-		{"duplicate key", BatchResult{Schema: 1, Results: []JobResult{{Key: "k", Run: &run}, {Key: "k", Run: &run}}}, "duplicate"},
-		{"neither run nor err", BatchResult{Schema: 1, Results: []JobResult{{Key: "k"}}}, "exactly one"},
-		{"both run and err", BatchResult{Schema: 1, Results: []JobResult{{Key: "k", Run: &run, Err: "x"}}}, "exactly one"},
-		{"transient success", BatchResult{Schema: 1, Results: []JobResult{{Key: "k", Run: &run, Transient: true}}}, "transient"},
+		{"empty key", BatchResult{Schema: SchemaVersion, Results: []JobResult{{Run: &run}}}, "empty key"},
+		{"duplicate key", BatchResult{Schema: SchemaVersion, Results: []JobResult{{Key: "k", Run: &run}, {Key: "k", Run: &run}}}, "duplicate"},
+		{"neither run nor err", BatchResult{Schema: SchemaVersion, Results: []JobResult{{Key: "k"}}}, "exactly one"},
+		{"both run and err", BatchResult{Schema: SchemaVersion, Results: []JobResult{{Key: "k", Run: &run, Err: "x"}}}, "exactly one"},
+		{"transient success", BatchResult{Schema: SchemaVersion, Results: []JobResult{{Key: "k", Run: &run, Transient: true}}}, "transient"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data, err := EncodeBatchResult(tc.r)

@@ -21,19 +21,27 @@ func TestEnableDisabled(t *testing.T) {
 }
 
 // sweepOnce runs one small runner.Map sweep and returns its results.
+// Jobs run on concurrent pool goroutines, so each burns into its own
+// sink slot; the package-level burnSink is written only afterwards,
+// from the test goroutine.
 func sweepOnce(t *testing.T) []int {
 	t.Helper()
 	pool := runner.New(runner.Options{Workers: 2})
-	out, err := runner.Map(context.Background(), pool, []int{1, 2, 3},
+	items := []int{1, 2, 3}
+	sinks := make([]float64, len(items))
+	out, err := runner.Map(context.Background(), pool, items,
 		func(ctx context.Context, i int, item int) (int, error) {
 			deadline := time.Now().Add(30 * time.Millisecond)
 			for time.Now().Before(deadline) {
-				burnSink = burnCPU(1 << 12)
+				sinks[i] = burnCPU(1 << 12)
 			}
 			return item * item, nil
 		})
 	if err != nil {
 		t.Fatalf("runner.Map: %v", err)
+	}
+	for _, s := range sinks {
+		burnSink += s
 	}
 	return out
 }
