@@ -82,14 +82,10 @@ func main() {
 		retries    = flag.Int("retries", 0, "retries per job for transient failures, with exponential backoff")
 		debugAddr  = flag.String("debug-addr", "", "serve pprof + expvar + live sweep stats on this address (e.g. localhost:6060); Prometheus text format on /metrics")
 		manifestTo = flag.String("manifest", "", "write a run manifest (provenance + per-job results) to this file")
-		remote     = flag.String("workers-remote", "", "comma-separated bceworker base URLs (e.g. http://127.0.0.1:8371); shard the sweep's timing simulations across them, then aggregate locally — output is byte-identical to a single-process run")
+		remote     = flag.String("workers-remote", "", "comma-separated bceworker base URLs (e.g. http://127.0.0.1:8371); queue the sweep's timing simulations for them to pull, then aggregate locally — output is byte-identical to a single-process run")
 		distBatch  = flag.Int("dist-batch", 0, "jobs per batch request to remote workers (0 = default)")
 		traceSpans = flag.String("trace-spans", "", "write the distributed sweep's merged cross-process span timeline (Chrome trace_event JSON, needs -workers-remote) to this file")
-		hedge      = flag.Bool("hedge", true, "speculatively re-issue batches that outlive the adaptive latency threshold to a second worker and take the first result; duplicate executions never merge twice")
-		adaptDL    = flag.Bool("adaptive-deadline", false, "derive each worker's per-job deadline from its own batch-latency history (p99 x 4, clamped) instead of the fixed -job-timeout")
-		brkFails   = flag.Int("breaker-failures", 0, "consecutive batch failures that trip a worker's circuit breaker (0 = default 2)")
-		brkCool    = flag.Duration("breaker-cooldown", 0, "cooldown before the first half-open probe of a tripped worker, doubled per failed probe (0 = derived from retry backoff)")
-		brkProbes  = flag.Int("breaker-probes", 0, "failed half-open probes before a tripped worker is declared permanently lost (0 = default 6)")
+		hedge      = flag.Bool("hedge", true, "once the batch queue is empty, let idle workers re-lease batches still in flight elsewhere and take the first result; duplicate executions never merge twice")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		logFormat  = flag.String("log-format", "text", "log output format: text or json")
 		profFlags  = prof.RegisterFlags(nil)
@@ -235,8 +231,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Distributed execution: enumerate the sweep's job space, shard it
-	// across the remote workers, and merge every result into the local
+	// Distributed execution: enumerate the sweep's job space, queue it
+	// for the remote workers, and merge every result into the local
 	// cache/store. The aggregation pass below then runs fully
 	// cache-hit, so its stdout is byte-identical to a single-process
 	// sweep by construction.
@@ -246,14 +242,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bcetables: -workers-remote lists no worker URLs")
 			os.Exit(2)
 		}
-		tuning := distTuning{
-			hedge:            *hedge,
-			adaptiveDeadline: *adaptDL,
-			breakerFailures:  *brkFails,
-			breakerCooldown:  *brkCool,
-			breakerProbes:    *brkProbes,
-		}
-		if err := distribute(ctx, urls, *exp, *bench, *csv, sz, mb, *distBatch, *jobTimeout, *retries, *traceSpans, tuning, capturer); err != nil {
+		if err := distribute(ctx, urls, *exp, *bench, *csv, sz, mb, *distBatch, *jobTimeout, *retries, *traceSpans, *hedge, capturer); err != nil {
 			fail(err)
 		}
 	}
@@ -303,43 +292,27 @@ func splitList(s string) []string {
 }
 
 // distribute runs the remote leg of a distributed sweep: plan the job
-// space with a silent recording pass, ping the workers, shard and
+// space with a silent recording pass, ping the workers, queue and
 // dispatch, and inject every remote result into the local cache (and
 // any attached store/journal) under its cache key. Jobs whose results
 // are already stored — a resumed coordinator — are excluded from the
 // plan, so only missing work is dispatched.
-// distTuning carries the self-healing knobs (-hedge,
-// -adaptive-deadline, -breaker-*) from flags into dist.Options.
-type distTuning struct {
-	hedge            bool
-	adaptiveDeadline bool
-	breakerFailures  int
-	breakerCooldown  time.Duration
-	breakerProbes    int
-}
-
 func distribute(ctx context.Context, urls []string, exp, bench string, csv bool,
 	sz core.Sizes, mb *manifest.Builder, batch int, jobTimeout time.Duration, retries int,
-	traceSpans string, tuning distTuning, capturer *prof.Capturer) error {
+	traceSpans string, hedge bool, capturer *prof.Capturer) error {
 	log := slog.Default().With("component", "coordinator")
 	var tracer *telemetry.Tracer
 	if traceSpans != "" {
 		tracer = telemetry.NewTracer("coordinator")
 	}
 	coord, err := dist.NewCoordinator(dist.Options{
-		Workers:          urls,
-		BatchSize:        batch,
-		JobTimeout:       jobTimeout,
-		Retries:          retries,
-		DisableHedging:   !tuning.hedge,
-		AdaptiveDeadline: tuning.adaptiveDeadline,
-		Breaker: dist.BreakerOptions{
-			ConsecutiveFailures: tuning.breakerFailures,
-			Cooldown:            tuning.breakerCooldown,
-			MaxProbeFailures:    tuning.breakerProbes,
-		},
-		Logger: log,
-		Tracer: tracer,
+		Workers:        urls,
+		BatchSize:      batch,
+		JobTimeout:     jobTimeout,
+		Retries:        retries,
+		DisableHedging: !hedge,
+		Logger:         log,
+		Tracer:         tracer,
 		OnResult: func(worker string, job dist.Job, run metrics.Run) {
 			core.InjectResult(job.Key, run)
 			if mb != nil {

@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math/rand/v2"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bce/internal/core"
@@ -32,93 +32,91 @@ type Options struct {
 	BatchSize int
 	// JobTimeout bounds each job's execution on the worker; zero means
 	// none. Expiry is a transient failure (runner.Transient semantics):
-	// the job is retried, eventually on another worker. With
-	// AdaptiveDeadline set, this is only the deadline until enough
-	// batch latencies have been observed to derive a per-worker one.
+	// the job goes back on the queue for any worker to pull.
 	JobTimeout time.Duration
-	// Retries is how many times a failed batch request is retried
-	// in place against the same worker before the worker's circuit
-	// breaker takes over (default 2). RetryBackoff is the initial
-	// backoff, doubled per retry (default 250ms).
+	// Retries is how many times a failed batch request is retried in
+	// place against the same worker before the batch goes back on the
+	// queue and the worker is benched (default 2). RetryBackoff is the
+	// initial backoff, doubled per retry (default 250ms); a benched
+	// worker's first probe waits 4× RetryBackoff, doubled per failed
+	// probe.
 	Retries      int
 	RetryBackoff time.Duration
-	// Breaker tunes the per-worker circuit breakers. The zero value
-	// gets defaults; the default probe cooldown is derived from
-	// RetryBackoff (4×) so test-speed coordinators probe at test speed.
-	Breaker BreakerOptions
-	// DisableHedging turns off hedged batch dispatch. Hedging is on by
-	// default: when a batch's latency exceeds an adaptive percentile
-	// threshold the batch is speculatively re-issued to a second
-	// worker, the first result wins, and the loser is cancelled.
-	// Exactly-once merging makes the duplicate execution invisible.
+	// DisableHedging turns off tail re-leasing. Hedging is on by
+	// default: once the queue is empty, an idle worker re-leases the
+	// oldest batch still in flight on another worker (each batch at
+	// most once), the first valid reply wins, and the loser is
+	// cancelled. Exactly-once merging makes the duplicate execution
+	// invisible.
 	DisableHedging bool
-	// HedgePercentile (default 0.95) and HedgeMultiplier (default 2)
-	// set the hedge threshold: a batch is hedged once it has been in
-	// flight longer than multiplier × the percentile of all observed
-	// batch latencies. HedgeMinDelay (default 25ms) and HedgeMaxDelay
-	// (default 10s) clamp the threshold.
-	HedgePercentile float64
-	HedgeMultiplier float64
-	HedgeMinDelay   time.Duration
-	HedgeMaxDelay   time.Duration
-	// AdaptiveDeadline derives each dispatch's worker-side job deadline
-	// from that worker's own batch-latency history —
-	// DeadlinePercentile (default 0.99) × DeadlineMultiplier (default
-	// 4), clamped to [DeadlineFloor, DeadlineCeil] (defaults 1s, 5m) —
-	// so slow-but-healthy workers are not killed and stragglers are.
-	// Until enough samples exist, JobTimeout applies.
-	AdaptiveDeadline   bool
-	DeadlinePercentile float64
-	DeadlineMultiplier float64
-	DeadlineFloor      time.Duration
-	DeadlineCeil       time.Duration
 	// OnResult is called once per successful job with the worker's name
 	// and the result. Workers execute concurrently, so OnResult must be
 	// safe for concurrent use. The coordinator guarantees exactly one
 	// call per job key, however often the job was re-executed by
-	// reassignment or hedging. Required.
+	// requeueing or re-leasing. Required.
 	OnResult func(worker string, job Job, run metrics.Run)
 	// Logger receives structured progress and rebalancing records
-	// (worker eviction, probing, hedging, batch reassignment, retries).
-	// Nil means slog.Default(); records inside the sweep trace carry
-	// trace_id.
+	// (benching, probing, re-leasing, requeueing, retries). Nil means
+	// slog.Default(); records inside the sweep trace carry trace_id.
 	Logger *slog.Logger
 	// Tracer, when set, opens a sweep-level trace: one root span, one
-	// span per shard, one per batch request, merged with the spans
+	// span per shard, one per batch lease, merged with the spans
 	// workers ship back. Nil disables tracing (zero overhead).
 	Tracer *telemetry.Tracer
 }
 
-// Coordinator shards a planned job space across worker processes and
-// merges the results. Failure policy: transport errors and
-// worker-reported transient failures are retried — first in place with
-// backoff, then by circuit-breaking the sick worker and reassigning
-// its work to healthy ones — while deterministic job failures
+// probeBudget is how many consecutive failed probes declare a benched
+// worker permanently lost.
+const probeBudget = 6
+
+// releaseAge is how long a batch must have been in flight before an
+// idle worker may re-lease it: long enough that a reply merely in
+// transit, or a worker's cold first request, is not raced; short next
+// to a real batch of simulations.
+const releaseAge = 100 * time.Millisecond
+
+// errLostRace reports a valid reply for a batch whose other lease
+// already merged: the loser of a tail re-lease. Not a worker fault.
+var errLostRace = errors.New("dist: batch already merged by another lease")
+
+// Coordinator runs a planned job space on worker processes and merges
+// the results. The batches sit on one shared queue; one loop per
+// worker pulls the next batch whenever its worker is idle, so fast
+// workers take more of the sweep than slow ones. Failure policy:
+// transport errors and worker-reported transient failures are retried
+// — first in place with backoff, then by putting the batch back on the
+// queue and benching the worker — while deterministic job failures
 // (validation, key-recompute mismatch, simulation error) abort the
-// sweep, because they would fail identically everywhere. An evicted
+// sweep, because they would fail identically everywhere. A benched
 // worker is probed on a doubling cooldown and re-admitted when a probe
-// passes; a worker whose probe budget runs dry is permanently lost. A
-// sweep completes when every job has merged or errors when jobs remain
-// and no worker can take them.
+// passes; a worker whose probe budget runs dry is permanently lost.
+// Once the queue is empty, idle workers re-lease batches still in
+// flight elsewhere (unless hedging is disabled), so a straggler cannot
+// hold the sweep's tail. A sweep completes when every job has merged
+// or errors when jobs remain and no worker can take them.
 type Coordinator struct {
 	opts        Options
 	client      *http.Client
 	log         *slog.Logger
 	maxAttempts int
-	breakers    []*breaker
 
+	// healthMu guards health, one bench/probe record per worker: only
+	// that worker's loop (and Ping, before a sweep) writes it.
+	healthMu sync.Mutex
+	health   []BreakerSnapshot
+
+	// mu guards the sweep's queue state and every task's lease fields.
 	mu       sync.Mutex
 	firstErr error
-
-	pending  atomic.Int64
-	alive    atomic.Int64
-	doneCh   chan struct{}
-	doneOnce sync.Once
+	ready    []*task       // batches waiting for a worker, FIFO
+	inflight []*task       // leased, unmerged batches, oldest lease first
+	pending  int           // tasks not yet retired
+	alive    int           // worker loops not permanently lost
+	changed  chan struct{} // closed and replaced whenever the queue changes
 	cancel   context.CancelFunc
 
 	// merged is the exactly-once merge guard: job keys whose result has
-	// been handed to OnResult. Reassignment and hedging can both
-	// legally execute a job twice; only the first result merges.
+	// been handed to OnResult.
 	mergedMu sync.Mutex
 	merged   map[string]struct{}
 
@@ -133,28 +131,47 @@ type Coordinator struct {
 }
 
 // shardTrace tracks one shard's span and how many of its tasks are
-// still outstanding; the last task to finish ends the span, wherever
-// it ended up executing after rebalancing.
+// still outstanding; the last task to finish ends the span, whichever
+// worker pulled it.
 type shardTrace struct {
 	span    *telemetry.Span
-	pending atomic.Int64
+	pending int // guarded by Coordinator.mu
 }
 
-func (s *shardTrace) taskDone() {
-	if s == nil {
-		return
-	}
-	if s.pending.Add(-1) == 0 {
-		s.span.End()
-	}
-}
-
-// task is one batch plus its delivery-attempt count. Attempts increment
-// on every reassignment; a task exceeding the coordinator's attempt
-// budget aborts the sweep rather than cycling forever.
+// task is one batch plus its delivery state. Attempts increment every
+// time the batch goes back on the queue; a task exceeding the
+// coordinator's attempt budget aborts the sweep rather than cycling
+// forever. The lease fields are guarded by Coordinator.mu.
 type task struct {
 	batch    Batch
 	attempts int
+	leases   []*lease  // live leases: one, or two once re-leased
+	leasedAt time.Time // when the batch last left the queue
+	released bool      // re-leased already (at most once per batch)
+	done     bool      // a reply has been claimed for merging
+}
+
+// lease is one worker's claim on a task. Its context is cancelled when
+// another lease's reply wins.
+type lease struct {
+	task   *task
+	worker int
+	hedge  bool
+	ctx    context.Context
+	cancel context.CancelFunc
+}
+
+// BreakerSnapshot is one worker's bench/probe record for stats and
+// fleet views. State is "closed" while the worker takes batches,
+// "open" while it is benched, and "half-open" while a probe decides
+// its re-admission.
+type BreakerSnapshot struct {
+	State               string `json:"state"`
+	ConsecutiveFailures int    `json:"consecutive_failures"`
+	Trips               uint64 `json:"trips"`
+	Probes              uint64 `json:"probes"`
+	Readmissions        uint64 `json:"readmissions"`
+	ProbeFailures       int    `json:"probe_failures"`
 }
 
 // NewCoordinator validates opts and builds a Coordinator.
@@ -179,39 +196,6 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = 250 * time.Millisecond
 	}
-	if opts.Breaker.Cooldown <= 0 {
-		// Probe at the coordinator's own retry cadence: a breaker that
-		// cools down for seconds under a millisecond-backoff test
-		// configuration would stall the suite, and one that probes in
-		// milliseconds against production backoffs would hammer a sick
-		// worker.
-		opts.Breaker.Cooldown = 4 * opts.RetryBackoff
-	}
-	opts.Breaker = opts.Breaker.withDefaults()
-	if opts.HedgePercentile <= 0 || opts.HedgePercentile > 1 {
-		opts.HedgePercentile = 0.95
-	}
-	if opts.HedgeMultiplier <= 0 {
-		opts.HedgeMultiplier = 2
-	}
-	if opts.HedgeMinDelay <= 0 {
-		opts.HedgeMinDelay = 25 * time.Millisecond
-	}
-	if opts.HedgeMaxDelay <= 0 {
-		opts.HedgeMaxDelay = 10 * time.Second
-	}
-	if opts.DeadlinePercentile <= 0 || opts.DeadlinePercentile > 1 {
-		opts.DeadlinePercentile = 0.99
-	}
-	if opts.DeadlineMultiplier <= 0 {
-		opts.DeadlineMultiplier = 4
-	}
-	if opts.DeadlineFloor <= 0 {
-		opts.DeadlineFloor = time.Second
-	}
-	if opts.DeadlineCeil <= 0 {
-		opts.DeadlineCeil = 5 * time.Minute
-	}
 	c := &Coordinator{
 		opts:   opts,
 		client: opts.Client,
@@ -219,12 +203,12 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 		stats:  telemetry.NewRegistry(),
 		// In-place retries per visit, times one visit per worker per
 		// probe cycle: finite under total loss, roomy under repeated
-		// trip/re-admit flapping.
-		maxAttempts: (opts.Retries + 2) * len(opts.Workers) * (opts.Breaker.MaxProbeFailures + 1),
+		// bench/re-admit flapping.
+		maxAttempts: (opts.Retries + 2) * len(opts.Workers) * (probeBudget + 1),
+		health:      make([]BreakerSnapshot, len(opts.Workers)),
 	}
-	c.breakers = make([]*breaker, len(opts.Workers))
-	for i := range c.breakers {
-		c.breakers[i] = newBreaker(opts.Breaker)
+	for i := range c.health {
+		c.health[i].State = "closed"
 	}
 	if c.client == nil {
 		c.client = &http.Client{}
@@ -244,21 +228,47 @@ func (c *Coordinator) Stats() telemetry.Snapshot {
 	return c.stats.Snapshot()
 }
 
-// Breakers snapshots every worker's circuit breaker, keyed by worker
+// Breakers snapshots every worker's bench/probe record, keyed by worker
 // URL. Safe during a running sweep; the fleet monitor decorates its
 // health view with this.
 func (c *Coordinator) Breakers() map[string]BreakerSnapshot {
-	out := make(map[string]BreakerSnapshot, len(c.breakers))
-	for i, b := range c.breakers {
-		out[c.opts.Workers[i]] = b.Snapshot()
+	c.healthMu.Lock()
+	defer c.healthMu.Unlock()
+	out := make(map[string]BreakerSnapshot, len(c.health))
+	for i, s := range c.health {
+		out[c.opts.Workers[i]] = s
 	}
 	return out
 }
 
+// updateHealth applies f to worker wi's record under its lock.
+func (c *Coordinator) updateHealth(wi int, f func(*BreakerSnapshot)) {
+	c.healthMu.Lock()
+	f(&c.health[wi])
+	c.healthMu.Unlock()
+}
+
+// bench takes worker wi out of the rotation until a probe re-admits it.
+func (c *Coordinator) bench(ctx context.Context, wi int, reason string) {
+	c.updateHealth(wi, func(s *BreakerSnapshot) {
+		s.State = "open"
+		s.Trips++
+	})
+	live.breakerTrips.Add(1)
+	live.workersLost.Add(1)
+	c.log.WarnContext(telemetry.ContextWithSpan(ctx, c.sweepSpan),
+		"worker lost; benched until a probe passes", "url", c.opts.Workers[wi], "reason", reason)
+}
+
+// benched reports whether worker wi is out of the rotation.
+func (c *Coordinator) benched(wi int) bool {
+	c.healthMu.Lock()
+	defer c.healthMu.Unlock()
+	return c.health[wi].State != "closed"
+}
+
 // observeBatch records one completed batch request's latency under the
-// global, per-shard, and per-worker histograms. The global histogram
-// feeds the hedge threshold; the per-worker one feeds that worker's
-// adaptive deadline.
+// global, per-shard, and per-worker histograms.
 func (c *Coordinator) observeBatch(shard, wi int, d time.Duration) {
 	ms := uint64(d.Milliseconds())
 	c.statsMu.Lock()
@@ -268,117 +278,14 @@ func (c *Coordinator) observeBatch(shard, wi int, d time.Duration) {
 	c.statsMu.Unlock()
 }
 
-// hedgeMinSamples and deadlineMinSamples gate the adaptive thresholds:
-// below these observation counts the latency histograms are noise and
-// the fixed-configuration behavior applies.
-const (
-	hedgeMinSamples    = 8
-	deadlineMinSamples = 8
-)
-
-// hedgeDelay returns how long a batch may be in flight before it is
-// hedged to a second worker, or 0 when hedging is off (disabled, a
-// single worker, or not enough latency history yet).
-func (c *Coordinator) hedgeDelay() time.Duration {
-	if c.opts.DisableHedging || len(c.opts.Workers) < 2 {
-		return 0
-	}
-	c.statsMu.Lock()
-	h := c.stats.Histogram("batch_ms")
-	n := h.Count()
-	q := h.Quantile(c.opts.HedgePercentile)
-	c.statsMu.Unlock()
-	if n < hedgeMinSamples {
-		return 0
-	}
-	d := time.Duration(float64(q)*c.opts.HedgeMultiplier) * time.Millisecond
-	if d < c.opts.HedgeMinDelay {
-		d = c.opts.HedgeMinDelay
-	}
-	if d > c.opts.HedgeMaxDelay {
-		d = c.opts.HedgeMaxDelay
-	}
-	return d
-}
-
-// deadlineFor returns the worker-side per-job deadline (ms) to stamp
-// on a batch dispatched to worker wi: the fixed JobTimeout until
-// AdaptiveDeadline has latency history, then pN × multiplier clamped
-// to the floor/ceiling.
-func (c *Coordinator) deadlineFor(wi int) int64 {
-	fixed := c.opts.JobTimeout.Milliseconds()
-	if !c.opts.AdaptiveDeadline {
-		return fixed
-	}
-	c.statsMu.Lock()
-	h := c.stats.Histogram(fmt.Sprintf("worker%d.batch_ms", wi))
-	n := h.Count()
-	q := h.Quantile(c.opts.DeadlinePercentile)
-	c.statsMu.Unlock()
-	if n < deadlineMinSamples {
-		return fixed
-	}
-	d := time.Duration(float64(q)*c.opts.DeadlineMultiplier) * time.Millisecond
-	if d < c.opts.DeadlineFloor {
-		d = c.opts.DeadlineFloor
-	}
-	if d > c.opts.DeadlineCeil {
-		d = c.opts.DeadlineCeil
-	}
-	return d.Milliseconds()
-}
-
-// pickHedge chooses a healthy worker other than the primary for a
-// hedged dispatch, preferring rotation order after the primary.
-func (c *Coordinator) pickHedge(primary int) (int, string, bool) {
-	nw := len(c.opts.Workers)
-	for i := 1; i < nw; i++ {
-		wi := (primary + i) % nw
-		if c.breakers[wi].Closed() {
-			return wi, c.opts.Workers[wi], true
-		}
-	}
-	return 0, "", false
-}
-
-// recordOutcome feeds one request outcome to a worker's breaker,
-// counting the trip if this outcome caused one. Outcomes from
-// cancelled requests (hedge losers, sweep teardown) say nothing about
-// worker health and are dropped.
-func (c *Coordinator) recordOutcome(ctx context.Context, wi int, ok bool) {
-	if ctx.Err() != nil {
-		return
-	}
-	if c.breakers[wi].Record(ok) {
-		live.breakerTrips.Add(1)
-	}
-}
-
-// forceTrip opens a worker's breaker when its loop gives up for
-// reasons the outcome stream did not already trip on.
-func (c *Coordinator) forceTrip(wi int) {
-	if c.breakers[wi].Trip() {
-		live.breakerTrips.Add(1)
-	}
-}
-
-// shardFor returns the trace bookkeeping for a task's shard (nil when
-// tracing is off).
-func (c *Coordinator) shardFor(t *task) *shardTrace {
-	if t.batch.Shard < len(c.shards) {
-		return c.shards[t.batch.Shard]
-	}
-	return nil
-}
-
 // Ping checks every worker for liveness and schema agreement. Callers
 // run it before a sweep so misconfiguration fails in milliseconds, not
 // after the plan executes. Schema disagreement on any worker aborts —
 // that is a build mismatch no amount of retrying fixes. A worker that
-// is merely unreachable (partition, restart, flaky path) has its
-// breaker tripped instead, so the sweep starts without it and the
-// half-open probe loop re-admits it when its network heals; only when
-// every worker is unreachable does Ping fail.
+// is merely unreachable (partition, restart, flaky path) is benched
+// instead, so the sweep starts without it and its probes re-admit it
+// when its network heals; only when every worker is unreachable does
+// Ping fail.
 func (c *Coordinator) Ping(ctx context.Context) error {
 	var firstErr error
 	reachable := 0
@@ -393,9 +300,9 @@ func (c *Coordinator) Ping(ctx context.Context) error {
 			if firstErr == nil {
 				firstErr = err
 			}
-			c.forceTrip(i)
-			c.log.Warn("worker unreachable at startup; tripping breaker and probing",
-				"worker", w, "err", err)
+			if !c.benched(i) {
+				c.bench(ctx, i, "unreachable at startup: "+err.Error())
+			}
 		}
 	}
 	if reachable == 0 {
@@ -405,7 +312,7 @@ func (c *Coordinator) Ping(ctx context.Context) error {
 }
 
 // pingOne checks one worker for liveness and schema agreement. It
-// doubles as the breaker's half-open probe: cheap, side-effect free,
+// doubles as a benched worker's probe: cheap, side-effect free,
 // and it exercises the same HTTP path a batch would.
 func (c *Coordinator) pingOne(ctx context.Context, w string) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w+PathPing, nil)
@@ -438,19 +345,14 @@ func (c *Coordinator) pingOne(ctx context.Context, w string) error {
 	return nil
 }
 
-// probeWorker runs one bounded half-open probe against a worker.
-func (c *Coordinator) probeWorker(ctx context.Context, url string) bool {
-	pctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	return c.pingOne(pctx, url) == nil
-}
-
 // Run executes the planned jobs across the workers. jobs and keys are
 // parallel slices, sorted by key (core.CollectJobs guarantees this),
-// which makes the sharding deterministic: job i goes to shard
-// i mod len(Workers), shards are cut into BatchSize batches in order.
-// Run returns once every job has been merged through OnResult, or with
-// the first deterministic failure, or when undeliverable work remains.
+// which makes the batches deterministic: job i goes to shard
+// i mod len(Workers), and each shard is cut into BatchSize batches in
+// order. The queue interleaves the shards (every shard's first batch,
+// then every shard's second, ...). Run returns once every job has been
+// merged through OnResult, or with the first deterministic failure, or
+// when undeliverable work remains.
 func (c *Coordinator) Run(ctx context.Context, jobs []core.JobSpec, keys []string) error {
 	if len(jobs) != len(keys) {
 		return fmt.Errorf("dist: %d jobs with %d keys", len(jobs), len(keys))
@@ -459,62 +361,67 @@ func (c *Coordinator) Run(ctx context.Context, jobs []core.JobSpec, keys []strin
 		return nil
 	}
 	nw := len(c.opts.Workers)
-
-	// Deterministic sharding: round-robin over the key-sorted job list
-	// balances every benchmark mix across workers regardless of where
-	// the expensive configurations cluster in key order.
 	shards := make([][]Job, nw)
 	for i := range jobs {
-		w := i % nw
-		shards[w] = append(shards[w], Job{Key: keys[i], Spec: jobs[i]})
+		shards[i%nw] = append(shards[i%nw], Job{Key: keys[i], Spec: jobs[i]})
 	}
-	var tasks [][]*task
-	total := 0
-	for si, shard := range shards {
-		var own []*task
-		for seq := 0; len(shard) > 0; seq++ {
-			n := min(c.opts.BatchSize, len(shard))
-			own = append(own, &task{batch: Batch{
+	var ready []*task
+	perShard := make([]int, nw)
+	for seq, cut := 0, true; cut; seq++ {
+		cut = false
+		for si, shard := range shards {
+			lo := seq * c.opts.BatchSize
+			if lo >= len(shard) {
+				continue
+			}
+			ready = append(ready, &task{batch: Batch{
 				Schema:       SchemaVersion,
 				Shard:        si,
 				Seq:          seq,
 				JobTimeoutMS: c.opts.JobTimeout.Milliseconds(),
-				Jobs:         shard[:n],
+				Jobs:         shard[lo:min(lo+c.opts.BatchSize, len(shard))],
 			}})
-			shard = shard[n:]
-			total++
+			perShard[si]++
+			cut = true
 		}
-		tasks = append(tasks, own)
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	c.mu.Lock()
 	c.cancel = cancel
-	c.doneCh = make(chan struct{})
-	c.doneOnce = sync.Once{}
 	c.firstErr = nil
-	c.pending.Store(int64(total))
-	c.alive.Store(int64(nw))
+	c.ready, c.inflight = ready, nil
+	c.pending = len(ready)
+	c.alive = nw
+	c.changed = make(chan struct{})
+	// Every healthy worker starts on a batch of its own, so a loop
+	// scheduled late still gets a share; after that, whichever worker
+	// is idle pulls the next batch.
+	first := make([]*lease, nw)
+	for wi := range first {
+		if len(c.ready) > 0 && !c.benched(wi) {
+			first[wi] = c.takeLocked(runCtx, wi)
+		}
+	}
+	c.mu.Unlock()
 	c.mergedMu.Lock()
 	c.merged = make(map[string]struct{}, len(jobs))
 	c.mergedMu.Unlock()
 	live.jobsDispatched.Add(uint64(len(jobs)))
 
 	// Open the sweep trace: a root span plus one span per shard. Shard
-	// spans end when their last task retires — possibly on a different
-	// worker than the shard was cut for — and any span still open when
-	// Run returns (abort paths) is closed below; End is idempotent.
+	// spans end when their last task retires, and any span still open
+	// when Run returns (abort paths) is closed below; End is idempotent.
 	if tr := c.opts.Tracer; tr != nil {
 		c.sweepSpan = tr.StartTrace("sweep")
 		c.sweepSpan.SetAttr("jobs", fmt.Sprint(len(jobs)))
 		c.sweepSpan.SetAttr("workers", fmt.Sprint(nw))
 		c.shards = make([]*shardTrace, nw)
 		for si := range c.shards {
-			st := &shardTrace{span: tr.StartSpan("shard", c.sweepSpan.Context())}
+			st := &shardTrace{span: tr.StartSpan("shard", c.sweepSpan.Context()), pending: perShard[si]}
 			st.span.SetAttr("shard", fmt.Sprint(si))
-			st.span.SetAttr("worker", c.opts.Workers[si])
-			st.pending.Store(int64(len(tasks[si])))
-			if len(tasks[si]) == 0 {
+			if st.pending == 0 {
 				st.span.End()
 			}
 			c.shards[si] = st
@@ -528,23 +435,18 @@ func (c *Coordinator) Run(ctx context.Context, jobs []core.JobSpec, keys []strin
 		}()
 	}
 
-	// Orphan queue: batches whose worker was evicted, awaiting
-	// reassignment. Sized so every task can be requeued at its full
-	// attempt budget without a push ever blocking.
-	orphans := make(chan *task, total*(c.maxAttempts+1)+nw)
-
 	var wg sync.WaitGroup
-	for wi, url := range c.opts.Workers {
+	for wi := range c.opts.Workers {
 		wg.Add(1)
-		go func(wi int, url string, own []*task) {
+		go func() {
 			defer wg.Done()
-			c.workerLoop(runCtx, wi, url, own, orphans)
-		}(wi, url, tasks[wi])
+			c.workerLoop(runCtx, wi, first[wi])
+		}()
 	}
 	wg.Wait()
 
 	c.mu.Lock()
-	err := c.firstErr
+	err, pending := c.firstErr, c.pending
 	c.mu.Unlock()
 	if err != nil {
 		return err
@@ -552,8 +454,8 @@ func (c *Coordinator) Run(ctx context.Context, jobs []core.JobSpec, keys []strin
 	if cerr := ctx.Err(); cerr != nil {
 		return cerr
 	}
-	if n := c.pending.Load(); n != 0 {
-		return fmt.Errorf("dist: %d batches undelivered: every worker failed", n)
+	if pending != 0 {
+		return fmt.Errorf("dist: %d batches undelivered: every worker failed", pending)
 	}
 	return nil
 }
@@ -568,206 +470,288 @@ func (c *Coordinator) abort(err error) {
 	c.cancel()
 }
 
-// finish retires one task; the last one releases every worker loop.
-func (c *Coordinator) finish() {
-	if c.pending.Add(-1) == 0 {
-		c.doneOnce.Do(func() { close(c.doneCh) })
+// wakeLocked tells every waiting worker loop the queue changed.
+func (c *Coordinator) wakeLocked() {
+	close(c.changed)
+	c.changed = make(chan struct{})
+}
+
+// workerLoop drives one worker: it runs its first lease, if any, then
+// pulls leases until the sweep ends. A lease that fails transiently
+// after its in-place retries benches the worker; the loop then probes
+// it on a doubling cooldown and resumes pulling once a probe passes, or
+// gives the worker up when the probe budget runs dry. The last loop to
+// give up with work still pending aborts the sweep.
+func (c *Coordinator) workerLoop(ctx context.Context, wi int, l *lease) {
+	for {
+		if l == nil {
+			if c.benched(wi) && !c.probeUntilHealthy(ctx, wi) {
+				return
+			}
+			if l = c.next(ctx, wi); l == nil {
+				return
+			}
+		}
+		if err := c.handle(l); err != nil {
+			c.bench(ctx, wi, err.Error())
+		}
+		l = nil
 	}
 }
 
-// requeue puts a task back up for grabs by healthy workers, aborting
-// if its attempt budget is spent or the queue is impossibly full.
-func (c *Coordinator) requeue(t *task, orphans chan *task) bool {
+// next blocks until worker wi can take a lease: the head of the queue
+// or, once the queue is empty and hedging is on, the oldest batch in
+// flight for at least releaseAge and not yet re-leased. An idle worker
+// holds no lease, so that batch is always on another worker. It
+// returns nil when the sweep is over.
+func (c *Coordinator) next(ctx context.Context, wi int) *lease {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for ctx.Err() == nil {
+		if len(c.ready) > 0 {
+			return c.takeLocked(ctx, wi)
+		}
+		var ripe <-chan time.Time
+		if !c.opts.DisableHedging {
+			for _, t := range c.inflight {
+				if t.released || t.done {
+					continue
+				}
+				if wait := releaseAge - time.Since(t.leasedAt); wait > 0 {
+					ripe = time.After(wait)
+					break
+				}
+				t.released = true
+				return c.leaseLocked(ctx, t, wi, true)
+			}
+		}
+		changed := c.changed
+		c.mu.Unlock()
+		select {
+		case <-ctx.Done():
+		case <-changed:
+		case <-ripe:
+		}
+		c.mu.Lock()
+	}
+	return nil
+}
+
+// takeLocked leases the head of the queue to worker wi.
+func (c *Coordinator) takeLocked(ctx context.Context, wi int) *lease {
+	t := c.ready[0]
+	c.ready = c.ready[1:]
+	t.leasedAt = time.Now()
+	c.inflight = append(c.inflight, t)
+	if !c.opts.DisableHedging {
+		c.wakeLocked() // a new re-lease candidate for idle loops
+	}
+	return c.leaseLocked(ctx, t, wi, false)
+}
+
+func (c *Coordinator) leaseLocked(ctx context.Context, t *task, wi int, hedge bool) *lease {
+	l := &lease{task: t, worker: wi, hedge: hedge}
+	l.ctx, l.cancel = context.WithCancel(ctx)
+	t.leases = append(t.leases, l)
+	return l
+}
+
+// dropLeaseLocked removes l from its task's live leases and releases its
+// context.
+func (c *Coordinator) dropLeaseLocked(l *lease) {
+	t := l.task
+	l.cancel()
+	for i, x := range t.leases {
+		if x == l {
+			t.leases = append(t.leases[:i], t.leases[i+1:]...)
+			break
+		}
+	}
+	if len(t.leases) == 0 {
+		for i, x := range c.inflight {
+			if x == t {
+				c.inflight = append(c.inflight[:i], c.inflight[i+1:]...)
+				break
+			}
+		}
+	}
+}
+
+// handle runs one lease to completion. It returns a non-nil error when
+// the worker must be benched; fatal errors abort the whole sweep and
+// return nil so the loop winds down via context cancellation.
+func (c *Coordinator) handle(l *lease) error {
+	requeueJobs, err := c.runLease(l)
+	switch {
+	case err == nil:
+		c.retire(l, requeueJobs)
+		return nil
+	case errors.Is(err, errLostRace) || l.ctx.Err() != nil:
+		// The other lease won, or the sweep is being torn down: not a
+		// worker problem.
+		c.release(l, false)
+		return nil
+	case runner.IsTransient(err):
+		c.release(l, true)
+		return err
+	default:
+		c.release(l, false)
+		c.abort(err)
+		return nil
+	}
+}
+
+// retire completes a task whose reply l merged: it cancels any other
+// lease, queues the reply's transient job failures as a fresh task,
+// and ends the sweep when nothing is left pending.
+func (c *Coordinator) retire(l *lease, requeueJobs []Job) {
+	t := l.task
+	c.mu.Lock()
+	for len(t.leases) > 0 {
+		c.dropLeaseLocked(t.leases[0]) // cancels the loser, if any
+	}
+	if t.released {
+		if l.hedge {
+			live.hedgeWins.Add(1)
+		} else {
+			live.hedgeLosses.Add(1)
+		}
+	}
+	st := c.shardFor(t)
+	requeued := false
+	if len(requeueJobs) > 0 {
+		// Worker-side transient failures (per-job deadline expiry): the
+		// survivors become a fresh task on the same shard.
+		nt := &task{batch: t.batch, attempts: t.attempts}
+		nt.batch.Jobs = requeueJobs
+		c.pending++
+		if st != nil {
+			st.pending++
+		}
+		requeued = c.requeueLocked(nt)
+	}
+	if st != nil {
+		if st.pending--; st.pending == 0 {
+			st.span.End()
+		}
+	}
+	if c.pending--; c.pending == 0 {
+		c.cancel()
+	}
+	c.wakeLocked()
+	c.mu.Unlock()
+	if requeued {
+		c.log.InfoContext(telemetry.ContextWithSpan(l.ctx, c.sweepSpan), "transient job failures requeued",
+			"jobs", len(requeueJobs), "url", c.opts.Workers[l.worker])
+	}
+}
+
+// release drops a lease that produced no merge. When requeue is set
+// and it was the task's last live lease, the task goes back on the
+// queue for any worker to pull.
+func (c *Coordinator) release(l *lease, requeue bool) {
+	t := l.task
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.dropLeaseLocked(l)
+	if requeue && len(t.leases) == 0 && !t.done {
+		c.requeueLocked(t)
+	}
+}
+
+// requeueLocked puts a task back on the queue and reports whether it
+// did; a task whose attempt budget is spent aborts the sweep instead.
+func (c *Coordinator) requeueLocked(t *task) bool {
 	t.attempts++
 	if t.attempts > c.maxAttempts {
-		c.abort(fmt.Errorf("dist: shard %d batch %d undeliverable after %d attempts",
-			t.batch.Shard, t.batch.Seq, t.attempts))
+		if c.firstErr == nil {
+			c.firstErr = fmt.Errorf("dist: shard %d batch %d undeliverable after %d attempts",
+				t.batch.Shard, t.batch.Seq, t.attempts)
+		}
+		c.cancel()
 		return false
 	}
-	select {
-	case orphans <- t:
-		live.jobsRequeued.Add(uint64(len(t.batch.Jobs)))
-		return true
-	default:
-		c.abort(fmt.Errorf("dist: orphan queue overflow (shard %d batch %d)", t.batch.Shard, t.batch.Seq))
-		return false
-	}
-}
-
-// workerLoop drives one worker: it drains the worker's own shard, then
-// steals orphaned batches from evicted workers until the sweep
-// completes. When the worker's circuit breaker opens — tripped by the
-// outcome stream or forced after a task exhausts its in-place retries
-// — the loop requeues everything it holds (so healthy workers pick it
-// up immediately) and switches to half-open probing; a passing probe
-// re-admits the worker into the rotation, and an exhausted probe
-// budget declares it permanently lost. The last loop to die with work
-// still pending aborts the sweep.
-func (c *Coordinator) workerLoop(ctx context.Context, wi int, url string, own []*task, orphans chan *task) {
-	br := c.breakers[wi]
-	var failed *task
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		if failed != nil || !br.Closed() {
-			c.forceTrip(wi)
-			n := len(own)
-			if failed != nil {
-				n++
-			}
-			live.workersLost.Add(1)
-			c.log.WarnContext(telemetry.ContextWithSpan(ctx, c.sweepSpan),
-				"worker lost; reassigning batches", "url", url, "batches", n,
-				"breaker", br.Snapshot().State)
-			if failed != nil {
-				c.requeue(failed, orphans)
-				failed = nil
-			}
-			for _, t := range own {
-				c.requeue(t, orphans)
-			}
-			own = nil
-			readmitted, lost := c.probeUntilHealthy(ctx, wi, url)
-			if lost {
-				c.log.ErrorContext(telemetry.ContextWithSpan(ctx, c.sweepSpan),
-					"worker permanently lost: probe budget exhausted", "url", url)
-				if c.alive.Add(-1) == 0 && c.pending.Load() > 0 {
-					c.abort(errors.New("dist: all workers failed"))
-				}
-				return
-			}
-			if !readmitted {
-				return // sweep finished or cancelled while probing
-			}
-			c.log.InfoContext(telemetry.ContextWithSpan(ctx, c.sweepSpan),
-				"worker re-admitted after successful probe", "url", url)
-			continue
-		}
-		var t *task
-		if len(own) > 0 {
-			t = own[0]
-			own = own[1:]
-		} else {
-			select {
-			case <-ctx.Done():
-				return
-			case <-c.doneCh:
-				return
-			case t = <-orphans:
-			}
-		}
-		if !c.handle(ctx, wi, url, t, orphans) {
-			failed = t
-		}
-	}
-}
-
-// probeUntilHealthy runs the breaker's half-open probe schedule until
-// the worker is re-admitted (readmitted), the probe budget is spent
-// (lost), or the sweep ends (neither).
-func (c *Coordinator) probeUntilHealthy(ctx context.Context, wi int, url string) (readmitted, lost bool) {
-	br := c.breakers[wi]
-	for {
-		if br.Exhausted() {
-			return false, true
-		}
-		if wait := br.ProbeWait(); wait > 0 {
-			select {
-			case <-ctx.Done():
-				return false, false
-			case <-c.doneCh:
-				return false, false
-			case <-time.After(wait):
-			}
-		}
-		if !br.BeginProbe() {
-			if br.Closed() {
-				return true, false
-			}
-			continue
-		}
-		live.breakerProbes.Add(1)
-		ok := c.probeWorker(ctx, url)
-		if br.ProbeResult(ok) {
-			live.breakerReadmits.Add(1)
-			return true, false
-		}
-		if ctx.Err() != nil {
-			return false, false
-		}
-	}
-}
-
-// handle runs one task to completion on this worker. It returns false
-// when the worker must be evicted (the caller requeues t and starts
-// probing); fatal errors abort the whole sweep and return true so the
-// loop winds down via context cancellation.
-func (c *Coordinator) handle(ctx context.Context, wi int, url string, t *task, orphans chan *task) bool {
-	requeueJobs, err := c.runTask(ctx, wi, url, t)
-	if err != nil {
-		if ctx.Err() != nil {
-			return true // sweep is being torn down, not a worker problem
-		}
-		if runner.IsTransient(err) {
-			return false // worker unreachable after in-place retries
-		}
-		c.abort(err)
-		return true
-	}
-	if len(requeueJobs) > 0 {
-		// Worker-side transient failures (per-job deadline expiry):
-		// spin the survivors into a fresh task before retiring this one
-		// so the pending count never momentarily hits zero. The shard's
-		// trace pending count moves in lockstep so its span outlives the
-		// retried work.
-		nt := &task{
-			batch: Batch{
-				Schema:       SchemaVersion,
-				Shard:        t.batch.Shard,
-				Seq:          t.batch.Seq,
-				JobTimeoutMS: t.batch.JobTimeoutMS,
-				Jobs:         requeueJobs,
-			},
-			attempts: t.attempts,
-		}
-		c.pending.Add(1)
-		if st := c.shardFor(nt); st != nil {
-			st.pending.Add(1)
-		}
-		if c.requeue(nt, orphans) {
-			c.log.InfoContext(telemetry.ContextWithSpan(ctx, c.sweepSpan), "transient job failures requeued",
-				"jobs", len(requeueJobs), "url", url)
-		}
-	}
-	c.shardFor(t).taskDone()
-	c.finish()
+	c.ready = append(c.ready, t)
+	live.jobsRequeued.Add(uint64(len(t.batch.Jobs)))
+	c.wakeLocked()
 	return true
 }
 
-// postOutcome is one dispatch attempt's terminal result inside
-// runTask: the primary's (after its in-place retries) or the hedge's.
-type postOutcome struct {
-	reply BatchResult
-	err   error
-	hedge bool
+// shardFor returns the trace bookkeeping for a task's shard (nil when
+// tracing is off).
+func (c *Coordinator) shardFor(t *task) *shardTrace {
+	if t.batch.Shard < len(c.shards) {
+		return c.shards[t.batch.Shard]
+	}
+	return nil
 }
 
-// runTask delivers one batch: it dispatches to the primary worker
-// (with in-place retries), optionally hedges to a second worker when
-// the batch outlives the adaptive latency threshold, merges the first
-// successful reply, and cancels the loser. Deterministic failures —
-// malformed batch (HTTP 400 from the worker), schema skew, a job error
-// the worker marked permanent — come back as non-transient errors.
-func (c *Coordinator) runTask(ctx context.Context, wi int, url string, t *task) ([]Job, error) {
-	t.batch.JobTimeoutMS = c.deadlineFor(wi)
+// probeUntilHealthy probes benched worker wi on a doubling, jittered
+// cooldown until a probe passes (true), the probe budget is spent, or the sweep
+// ends (false).
+func (c *Coordinator) probeUntilHealthy(ctx context.Context, wi int) bool {
+	url := c.opts.Workers[wi]
+	for fails := 0; fails < probeBudget; fails++ {
+		// Up to 50% jitter keeps the doubling cooldown from probing in
+		// lockstep with a periodic fault (a partition every second).
+		wait := 4 * c.opts.RetryBackoff << fails
+		select {
+		case <-ctx.Done():
+			return false
+		case <-time.After(wait + rand.N(wait/2)):
+		}
+		c.updateHealth(wi, func(s *BreakerSnapshot) {
+			s.State = "half-open"
+			s.Probes++
+		})
+		live.breakerProbes.Add(1)
+		pctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		err := c.pingOne(pctx, url)
+		cancel()
+		if err == nil {
+			c.updateHealth(wi, func(s *BreakerSnapshot) {
+				*s = BreakerSnapshot{State: "closed", Trips: s.Trips, Probes: s.Probes, Readmissions: s.Readmissions + 1}
+			})
+			live.breakerReadmits.Add(1)
+			c.log.InfoContext(telemetry.ContextWithSpan(ctx, c.sweepSpan),
+				"worker re-admitted after successful probe", "url", url)
+			return true
+		}
+		c.updateHealth(wi, func(s *BreakerSnapshot) {
+			s.State = "open"
+			s.ProbeFailures++
+		})
+		if ctx.Err() != nil {
+			return false
+		}
+	}
+	c.log.ErrorContext(telemetry.ContextWithSpan(ctx, c.sweepSpan),
+		"worker permanently lost: probe budget exhausted", "url", url)
+	c.mu.Lock()
+	c.alive--
+	if c.alive == 0 && c.pending > 0 && c.firstErr == nil {
+		c.firstErr = errors.New("dist: all workers failed")
+		c.cancel()
+	}
+	c.mu.Unlock()
+	return false
+}
+
+// runLease delivers one leased batch to its worker, with in-place
+// retries, and merges the reply if it is the batch's first valid one.
+// Deterministic failures — malformed batch (HTTP 400 from the worker),
+// schema skew, a job error the worker marked permanent — come back as
+// non-transient errors.
+func (c *Coordinator) runLease(l *lease) ([]Job, error) {
+	t, wi := l.task, l.worker
 	payload, err := EncodeBatch(t.batch)
 	if err != nil {
 		return nil, fmt.Errorf("dist: encode batch: %w", err)
 	}
-	// One batch span covers the task on this worker, in-place retries
-	// and any hedge included; its context rides the request headers so
-	// the workers' spans become its children.
+	url := c.opts.Workers[wi]
+	// One batch span covers the lease, in-place retries included; its
+	// context rides the request headers so the worker's spans become
+	// its children.
 	var parent telemetry.SpanContext
 	if st := c.shardFor(t); st != nil {
 		parent = st.span.Context()
@@ -779,99 +763,21 @@ func (c *Coordinator) runTask(ctx context.Context, wi int, url string, t *task) 
 	span.SetAttr("url", url)
 	span.SetAttr("deadline_ms", fmt.Sprint(t.batch.JobTimeoutMS))
 	defer span.End()
-
-	resCh := make(chan postOutcome, 2)
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	go func() {
-		reply, err := c.postRetry(pctx, wi, url, payload, span, t.batch.Shard)
-		resCh <- postOutcome{reply: reply, err: err}
-	}()
-
-	issued := 1
-	var first *postOutcome
-	var hcancel context.CancelFunc
-	if delay := c.hedgeDelay(); delay > 0 {
-		timer := time.NewTimer(delay)
-		select {
-		case out := <-resCh:
-			timer.Stop()
-			first = &out
-		case <-timer.C:
-			if hwi, hurl, ok := c.pickHedge(wi); ok {
-				var hctx context.Context
-				hctx, hcancel = context.WithCancel(ctx)
-				defer hcancel()
-				live.hedgesIssued.Add(1)
-				span.SetAttr("hedged", "true")
-				span.SetAttr("hedge_url", hurl)
-				c.log.InfoContext(telemetry.ContextWithSpan(ctx, span), "hedging slow batch",
-					"shard", t.batch.Shard, "seq", t.batch.Seq,
-					"primary", url, "hedge", hurl, "threshold", delay)
-				go func() {
-					start := time.Now()
-					reply, err := c.post(hctx, hurl, payload, span.Context())
-					c.recordOutcome(hctx, hwi, err == nil)
-					if err == nil {
-						c.observeBatch(t.batch.Shard, hwi, time.Since(start))
-					}
-					resCh <- postOutcome{reply: reply, err: err, hedge: true}
-				}()
-				issued = 2
-			}
-		}
+	if l.hedge {
+		live.hedgesIssued.Add(1)
+		span.SetAttr("hedged", "true")
+		c.log.InfoContext(telemetry.ContextWithSpan(l.ctx, span), "re-leasing in-flight batch to idle worker",
+			"shard", t.batch.Shard, "seq", t.batch.Seq, "url", url)
 	}
-
-	// Take the first success; cancel the loser, then drain it (fast —
-	// its context is gone) so no goroutine outlives the task.
-	var win *postOutcome
-	var firstErr error
-	received := 0
-	if first != nil {
-		received = 1
-		if first.err == nil {
-			win = first
-		} else {
-			firstErr = first.err
-		}
+	reply, err := c.postRetry(l.ctx, wi, url, payload, span, t.batch.Shard)
+	if err != nil {
+		return nil, err
 	}
-	for received < issued {
-		out := <-resCh
-		received++
-		switch {
-		case out.err == nil && win == nil:
-			win = &out
-			if out.hedge {
-				live.hedgeWins.Add(1)
-				pcancel()
-			} else if hcancel != nil {
-				hcancel()
-			}
-		case out.err != nil && win == nil:
-			// Keep the most decisive error: deterministic beats
-			// transient (it must abort the sweep, not evict a worker).
-			if firstErr == nil || (!runner.IsTransient(out.err) && runner.IsTransient(firstErr)) {
-				firstErr = out.err
-			}
-		}
-	}
-	if issued == 2 && (win == nil || !win.hedge) {
-		live.hedgeLosses.Add(1)
-	}
-	if win == nil {
-		return nil, firstErr
-	}
-	if win.hedge {
-		span.SetAttr("winner", "hedge")
-	}
-	return c.merge(t, win.reply)
+	return c.merge(t, reply)
 }
 
 // postRetry POSTs one batch to one worker, retrying transient
-// transport failures in place with capped exponential backoff. Every
-// attempt's outcome feeds the worker's breaker; once the breaker
-// trips, remaining in-place retries are pointless (the worker is being
-// evicted) and the last error returns immediately.
+// transport failures in place with capped exponential backoff.
 func (c *Coordinator) postRetry(ctx context.Context, wi int, url string, payload []byte, span *telemetry.Span, shard int) (BatchResult, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
@@ -886,20 +792,18 @@ func (c *Coordinator) postRetry(ctx context.Context, wi int, url string, payload
 		}
 		start := time.Now()
 		reply, err := c.post(ctx, url, payload, span.Context())
-		c.recordOutcome(ctx, wi, err == nil)
 		if err == nil {
 			c.observeBatch(shard, wi, time.Since(start))
+			c.updateHealth(wi, func(s *BreakerSnapshot) { s.ConsecutiveFailures = 0 })
 			return reply, nil
 		}
-		lastErr = err
 		if !runner.IsTransient(err) || ctx.Err() != nil {
 			return BatchResult{}, err
 		}
+		lastErr = err
+		c.updateHealth(wi, func(s *BreakerSnapshot) { s.ConsecutiveFailures++ })
 		c.log.WarnContext(telemetry.ContextWithSpan(ctx, span), "batch attempt failed",
 			"url", url, "attempt", attempt+1, "attempts", c.opts.Retries+1, "err", err)
-		if !c.breakers[wi].Closed() {
-			break
-		}
 	}
 	return BatchResult{}, lastErr
 }
@@ -968,13 +872,11 @@ func (c *Coordinator) post(ctx context.Context, url string, payload []byte, sc t
 // OnResult, transient job failures into the requeue list, permanent
 // job failures into a fatal error. The whole reply is validated before
 // anything merges — a replies-then-fails-midway path would otherwise
-// merge part of a batch, requeue it, and merge the rest twice. The
-// merged-key guard makes every job's merge exactly-once even across
-// hedges and reassignment.
+// merge part of a batch, requeue it, and merge the rest twice — and
+// only the first valid reply for a task merges; a later one (the loser
+// of a re-lease) returns errLostRace. The merged-key guard keeps every
+// job's merge exactly-once on top of that.
 func (c *Coordinator) merge(t *task, reply BatchResult) ([]Job, error) {
-	// Worker spans merge into the sweep's tracer regardless of job
-	// outcomes — a failed batch's timing is exactly what a trace is for.
-	c.opts.Tracer.Import(reply.Spans)
 	byKey := make(map[string]Job, len(t.batch.Jobs))
 	for _, j := range t.batch.Jobs {
 		byKey[j.Key] = j
@@ -988,6 +890,16 @@ func (c *Coordinator) merge(t *task, reply BatchResult) ([]Job, error) {
 			return nil, runner.Transient(fmt.Errorf("dist: worker %q answered unknown key %q", reply.Worker, jr.Key))
 		}
 	}
+	c.mu.Lock()
+	lost := t.done
+	t.done = true
+	c.mu.Unlock()
+	if lost {
+		return nil, errLostRace
+	}
+	// Worker spans merge into the sweep's tracer regardless of job
+	// outcomes — a failed batch's timing is exactly what a trace is for.
+	c.opts.Tracer.Import(reply.Spans)
 	var requeue []Job
 	for _, jr := range reply.Results {
 		job := byKey[jr.Key]
@@ -1004,8 +916,7 @@ func (c *Coordinator) merge(t *task, reply BatchResult) ([]Job, error) {
 }
 
 // mergeOnce hands one job result to OnResult unless the key already
-// merged (a hedge duplicate or a re-executed reassignment), keeping
-// manifest recording at exactly one record per job.
+// merged, keeping manifest recording at exactly one record per job.
 func (c *Coordinator) mergeOnce(worker string, job Job, run metrics.Run) {
 	c.mergedMu.Lock()
 	if _, dup := c.merged[job.Key]; dup {

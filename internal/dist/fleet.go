@@ -53,12 +53,13 @@ type WorkerHealth struct {
 	// bce_runner metrics: transient-failure retries inside the worker's
 	// own pool, and result-store entries quarantined as undecodable.
 	// Either climbing on one worker while the fleet stays flat is the
-	// "sick host" signal the breaker acts on.
+	// "sick host" signal.
 	JobsRetried      uint64 `json:"jobs_retried"`
 	StoreQuarantined uint64 `json:"store_quarantined"`
-	// Breaker is this worker's coordinator-side circuit breaker state
-	// ("closed", "open", "half-open"), empty when no breaker source is
-	// attached (fleet monitor running without a coordinator).
+	// Breaker is this worker's coordinator-side bench state ("closed"
+	// while it takes batches, "open" while benched, "half-open" while a
+	// probe is in flight), empty when no breaker source is attached
+	// (fleet monitor running without a coordinator).
 	Breaker string `json:"breaker,omitempty"`
 	// Polls and Failures count this monitor's scrape attempts.
 	Polls    uint64 `json:"polls"`
@@ -90,9 +91,9 @@ type Fleet struct {
 	wg sync.WaitGroup
 }
 
-// SetBreakerSource attaches a coordinator's breaker view (typically
-// Coordinator.Breakers) so fleet snapshots carry each worker's breaker
-// state alongside its scraped health. Call before Start.
+// SetBreakerSource attaches a coordinator's bench/probe view
+// (typically Coordinator.Breakers) so fleet snapshots carry each
+// worker's bench state alongside its scraped health. Call before Start.
 func (f *Fleet) SetBreakerSource(src func() map[string]BreakerSnapshot) {
 	f.mu.Lock()
 	f.breakers = src

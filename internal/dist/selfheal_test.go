@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,13 +19,13 @@ import (
 )
 
 // selfheal_test.go covers the coordinator's self-healing machinery:
-// per-worker circuit breakers with half-open probing and re-admission,
-// hedged batch dispatch, adaptive deadlines, exactly-once merging
-// under partial/duplicated replies, and concurrent observability
-// reads.
+// benching a failing worker with probing and re-admission, tail
+// re-leasing, load balance through the pull queue, exactly-once
+// merging under partial/duplicated replies, and concurrent
+// observability reads.
 
 // slowExec wraps stubExec with a fixed per-job delay, stretching a
-// sweep so background machinery (probes, hedges) has time to act.
+// sweep so background machinery (probes, re-leases) has time to act.
 func slowExec(d time.Duration) func(context.Context, core.JobSpec) (metrics.Run, error) {
 	return func(ctx context.Context, j core.JobSpec) (metrics.Run, error) {
 		select {
@@ -179,6 +180,93 @@ func TestCoordinatorBreakerTripsAndReadmits(t *testing.T) {
 	}
 }
 
+// TestBreakerTripsOnConsecutiveFailures: a worker whose batch fails
+// every in-place attempt is benched exactly once, with the failure
+// streak on its record, while the healthy worker's record stays clean.
+func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
+	alive := testWorkerServer("alive", nil)
+	defer alive.Close()
+	dead := testWorkerServer("dead", nil)
+	dead.Close()
+
+	jobs, keys := jobSet(t, 8)
+	sink := newMergeSink()
+	coord, err := NewCoordinator(fastOpts([]string{alive.URL, dead.URL}, sink))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Run(context.Background(), jobs, keys); err != nil {
+		t.Fatal(err)
+	}
+	got := coord.Breakers()
+	// fastOpts: Retries 1, so two failed attempts bench the worker.
+	if s := got[dead.URL]; s.State != "open" || s.Trips != 1 || s.ConsecutiveFailures != 2 || s.Readmissions != 0 {
+		t.Errorf("dead worker's record = %+v, want open after one trip on a 2-failure streak", s)
+	}
+	if s := got[alive.URL]; s != (BreakerSnapshot{State: "closed"}) {
+		t.Errorf("healthy worker's record = %+v, want untouched", s)
+	}
+}
+
+// TestBreakerProbeLifecycle walks one worker through the whole record:
+// benched by the startup ping, one failed probe, one passing probe,
+// re-admitted with its probe failures cleared.
+func TestBreakerProbeLifecycle(t *testing.T) {
+	steady := testWorkerServer("steady", slowExec(8*time.Millisecond))
+	defer steady.Close()
+	flap := &flappingWorker{
+		inner:        NewWorker(WorkerOptions{Name: "flappy", Exec: stubExec}).Handler(),
+		recoverAfter: 2, // the startup ping and the first probe fail
+	}
+	flap.down.Store(true)
+	w2 := httptest.NewServer(flap)
+	defer w2.Close()
+
+	jobs, keys := jobSet(t, 16)
+	sink := newMergeSink()
+	coord, err := NewCoordinator(fastOpts([]string{steady.URL, w2.URL}, sink))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Ping(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s := coord.Breakers()[w2.URL]; s.State != "open" || s.Trips != 1 {
+		t.Fatalf("record after startup ping = %+v, want open with one trip", s)
+	}
+	if err := coord.Run(context.Background(), jobs, keys); err != nil {
+		t.Fatal(err)
+	}
+	want := BreakerSnapshot{State: "closed", Trips: 1, Probes: 2, Readmissions: 1}
+	if s := coord.Breakers()[w2.URL]; s != want {
+		t.Errorf("record after the sweep = %+v, want %+v", s, want)
+	}
+	if sink.workers["flappy"] == 0 {
+		t.Errorf("re-admitted worker took no batches: %v", sink.workers)
+	}
+}
+
+// TestBreakerExhaustsProbeBudget: a worker that never answers again
+// spends its whole probe budget and is given up; as the only worker,
+// that fails the sweep.
+func TestBreakerExhaustsProbeBudget(t *testing.T) {
+	dead := testWorkerServer("dead", nil)
+	dead.Close()
+	jobs, keys := jobSet(t, 2)
+	sink := newMergeSink()
+	coord, err := NewCoordinator(fastOpts([]string{dead.URL}, sink))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Run(context.Background(), jobs, keys); err == nil || !strings.Contains(err.Error(), "all workers failed") {
+		t.Fatalf("err = %v, want all workers failed", err)
+	}
+	s := coord.Breakers()[dead.URL]
+	if s.State != "open" || s.Trips != 1 || s.Probes != probeBudget || s.ProbeFailures != probeBudget {
+		t.Errorf("record = %+v, want open with %d failed probes", s, probeBudget)
+	}
+}
+
 // TestPingToleratesUnreachableWorker: a worker partitioned away at
 // sweep start must not abort the run — Ping trips its breaker, the
 // live worker carries the sweep, and the half-open probe loop
@@ -230,29 +318,17 @@ func TestPingFailsWhenAllWorkersUnreachable(t *testing.T) {
 	}
 }
 
-// TestCoordinatorHedgesStragglers pins a straggler: the primary worker
-// hangs forever on its last batch (after enough fast batches to arm
-// the adaptive hedge threshold). The hedge must re-issue the batch to
-// the healthy worker, take its result, and cancel the straggler — with
-// every job still merged exactly once.
+// TestCoordinatorHedgesStragglers pins a straggler: one worker hangs
+// on every job it receives. The rescuer drains the queue, then its
+// idle loop re-leases the straggler's in-flight batch, takes its
+// result, and cancels the straggler — with every job still merged
+// exactly once.
 func TestCoordinatorHedgesStragglers(t *testing.T) {
 	ResetStats()
 	jobs, keys := jobSet(t, 36)
-	// Round-robin sharding sends even sweep indices to worker 0; with
-	// BatchSize 2 its 9th batch holds indices 32 and 34. Worker 0 hangs
-	// on exactly those jobs — by then its own 8 completed batches have
-	// armed the hedge threshold (hedgeMinSamples).
-	hang := map[string]bool{keys[32]: true, keys[34]: true}
-	hangingExec := func(ctx context.Context, j core.JobSpec) (metrics.Run, error) {
-		key, err := j.Key()
-		if err != nil {
-			return metrics.Run{}, err
-		}
-		if hang[key] {
-			<-ctx.Done()
-			return metrics.Run{}, ctx.Err()
-		}
-		return stubExec(ctx, j)
+	hangingExec := func(ctx context.Context, _ core.JobSpec) (metrics.Run, error) {
+		<-ctx.Done()
+		return metrics.Run{}, ctx.Err()
 	}
 	w1 := testWorkerServer("straggler", hangingExec)
 	defer w1.Close()
@@ -260,10 +336,7 @@ func TestCoordinatorHedgesStragglers(t *testing.T) {
 	defer w2.Close()
 
 	sink := newMergeSink()
-	opts := fastOpts([]string{w1.URL, w2.URL}, sink)
-	opts.HedgeMinDelay = 5 * time.Millisecond
-	opts.HedgeMaxDelay = 50 * time.Millisecond
-	coord, err := NewCoordinator(opts)
+	coord, err := NewCoordinator(fastOpts([]string{w1.URL, w2.URL}, sink))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,68 +345,60 @@ func TestCoordinatorHedgesStragglers(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("sweep must hedge around the straggler: %v", err)
+			t.Fatalf("sweep must re-lease around the straggler: %v", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("sweep hung: the straggler batch was never hedged")
+		t.Fatal("sweep hung: the straggler's batch was never re-leased")
 	}
 	if sink.len() != len(jobs) || sink.dups != 0 {
 		t.Errorf("merged %d of %d jobs with %d dups", sink.len(), len(jobs), sink.dups)
 	}
+	if sink.workers["straggler"] != 0 {
+		t.Errorf("results attributed to a worker that never answers: %v", sink.workers)
+	}
 	s := Snapshot()
 	if s.HedgesIssued == 0 {
-		t.Error("no hedges issued for a hung batch")
+		t.Error("no re-leases issued for a hung batch")
 	}
 	if s.HedgeWins == 0 {
-		t.Error("hedge never won against a worker that hangs forever")
+		t.Error("re-lease never won against a worker that hangs forever")
+	}
+	if s.DupsSuppressed != 0 {
+		t.Errorf("DupsSuppressed = %d: a losing reply reached the merge", s.DupsSuppressed)
 	}
 }
 
-// TestAdaptiveDeadlineDerivation checks deadlineFor's policy directly:
-// fixed JobTimeout until a worker has latency history, then
-// pN × multiplier clamped to the floor and ceiling.
-func TestAdaptiveDeadlineDerivation(t *testing.T) {
-	coord, err := NewCoordinator(Options{
-		Workers:            []string{"http://a", "http://b", "http://c", "http://d"},
-		JobTimeout:         7 * time.Second,
-		AdaptiveDeadline:   true,
-		DeadlineMultiplier: 4,
-		DeadlineFloor:      time.Millisecond,
-		DeadlineCeil:       2 * time.Second,
-		OnResult:           func(string, Job, metrics.Run) {},
-	})
+// TestCoordinatorBalancesUnevenWorkers pins the pull queue's load
+// balance: with one worker ten times slower than the other, the fast
+// worker pulls most of the batches rather than an even half,
+// and with re-leasing off every cut batch is sent exactly once.
+func TestCoordinatorBalancesUnevenWorkers(t *testing.T) {
+	ResetStats()
+	fast := testWorkerServer("fast", slowExec(2*time.Millisecond))
+	defer fast.Close()
+	slow := testWorkerServer("slow", slowExec(20*time.Millisecond))
+	defer slow.Close()
+
+	jobs, keys := jobSet(t, 24)
+	sink := newMergeSink()
+	opts := fastOpts([]string{fast.URL, slow.URL}, sink)
+	opts.DisableHedging = true
+	coord, err := NewCoordinator(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No history yet: the fixed timeout applies.
-	if got := coord.deadlineFor(0); got != 7000 {
-		t.Errorf("deadline with no history = %dms, want fixed 7000", got)
+	if err := coord.Run(context.Background(), jobs, keys); err != nil {
+		t.Fatal(err)
 	}
-	// Worker 0: ~50ms batches. The log2 histogram's p99 upper edge for
-	// 50 is 63, times the multiplier = 252ms.
-	for i := 0; i < deadlineMinSamples; i++ {
-		coord.observeBatch(0, 0, 50*time.Millisecond)
+	if sink.len() != len(jobs) || sink.dups != 0 {
+		t.Errorf("merged %d of %d jobs with %d dups", sink.len(), len(jobs), sink.dups)
 	}
-	if got := coord.deadlineFor(0); got != 252 {
-		t.Errorf("deadline after 50ms history = %dms, want 252", got)
+	if got := sink.workers["fast"]; 3*got < 2*len(jobs) {
+		t.Errorf("fast worker merged %d of %d jobs, want at least two thirds: %v", got, len(jobs), sink.workers)
 	}
-	// Worker 1: sub-millisecond batches clamp to the floor.
-	for i := 0; i < deadlineMinSamples; i++ {
-		coord.observeBatch(0, 1, 0)
-	}
-	if got := coord.deadlineFor(1); got != 1 {
-		t.Errorf("deadline for sub-ms history = %dms, want floor 1", got)
-	}
-	// Worker 2: slow batches clamp to the ceiling.
-	for i := 0; i < deadlineMinSamples; i++ {
-		coord.observeBatch(0, 2, 900*time.Millisecond)
-	}
-	if got := coord.deadlineFor(2); got != 2000 {
-		t.Errorf("deadline for 900ms history = %dms, want ceiling 2000", got)
-	}
-	// Worker 3 has no history even though others do.
-	if got := coord.deadlineFor(3); got != 7000 {
-		t.Errorf("deadline for historyless worker = %dms, want fixed 7000", got)
+	// 24 jobs over 2 shards of 12, cut into batches of 2.
+	if got := Snapshot().BatchesSent; got != 12 {
+		t.Errorf("BatchesSent = %d, want the 12 cut batches", got)
 	}
 }
 
@@ -356,9 +421,7 @@ func TestConcurrentSnapshotsDuringChaoticSweep(t *testing.T) {
 
 	jobs, keys := jobSet(t, 20)
 	sink := newMergeSink()
-	opts := fastOpts([]string{w1.URL, w2.URL}, sink)
-	opts.HedgeMinDelay = 5 * time.Millisecond
-	coord, err := NewCoordinator(opts)
+	coord, err := NewCoordinator(fastOpts([]string{w1.URL, w2.URL}, sink))
 	if err != nil {
 		t.Fatal(err)
 	}

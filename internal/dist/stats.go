@@ -23,7 +23,8 @@ type liveCounters struct {
 	jobsMerged     atomic.Uint64
 	jobsRequeued   atomic.Uint64
 	workersLost    atomic.Uint64
-	// Coordinator self-healing (breakers, hedging, merge dedup).
+	// Coordinator self-healing (bench/probe, tail re-leases, merge
+	// dedup).
 	breakerTrips    atomic.Uint64
 	breakerProbes   atomic.Uint64
 	breakerReadmits atomic.Uint64
@@ -71,9 +72,11 @@ type LiveStats struct {
 	JobsMerged     uint64 `json:"jobs_merged"`
 	JobsRequeued   uint64 `json:"jobs_requeued"`
 	WorkersLost    uint64 `json:"workers_lost"`
-	// Coordinator self-healing: breaker lifecycle events, hedged
-	// dispatches (wins = the hedge's result was used), and duplicate
-	// job merges suppressed by the exactly-once merge guard.
+	// Coordinator self-healing: bench/probe events under their breaker
+	// names (trips = benchings, readmits = passing probes), tail
+	// re-leases under their hedge names (wins = the re-lease's result
+	// was used), and duplicate job merges suppressed by the
+	// exactly-once merge guard.
 	BreakerTrips    uint64 `json:"breaker_trips"`
 	BreakerProbes   uint64 `json:"breaker_probes"`
 	BreakerReadmits uint64 `json:"breaker_readmits"`

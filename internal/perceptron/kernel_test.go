@@ -151,8 +151,8 @@ func FuzzKernelBitExact(f *testing.F) {
 	f.Add(uint8(64), uint8(15), int64(3), []byte{0xAA, 0x55, 0x00, 0xFF})
 	f.Add(uint8(13), uint8(5), int64(4), []byte{1, 1, 1, 1, 1, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, hlenU, bitsU uint8, seed int64, ops []byte) {
-		hlen := 1 + int(hlenU)%64  // 1..64
-		bits := 2 + int(bitsU)%14  // 2..15
+		hlen := 1 + int(hlenU)%64 // 1..64
+		bits := 2 + int(bitsU)%14 // 2..15
 		p := New(hlen, bits)
 		ref := newRefPerceptron(hlen, bits)
 		rng := rand.New(rand.NewSource(seed))

@@ -1,8 +1,8 @@
 package pipeline
 
 import (
-	"bce/internal/config"
 	"bce/internal/confidence"
+	"bce/internal/config"
 )
 
 // batching.go decides when the simulator may hand the confidence

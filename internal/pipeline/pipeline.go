@@ -19,7 +19,6 @@
 package pipeline
 
 import (
-
 	"bce/internal/cache"
 	"bce/internal/confidence"
 	"bce/internal/config"
