@@ -30,10 +30,10 @@ import (
 	"time"
 
 	"bce/internal/bench"
+	"bce/internal/cli"
 	"bce/internal/manifest"
 	"bce/internal/prof"
 	"bce/internal/runner"
-	"bce/internal/telemetry"
 )
 
 func main() {
@@ -46,36 +46,20 @@ func main() {
 		compare    = flag.String("compare", "", "baseline JSON report; compare-only mode unless -suite also runs")
 		against    = flag.String("against", "", "candidate JSON report to compare against the -compare baseline (default: this run's results)")
 		maxRegress = flag.Float64("max-regress", 10, "fail the comparison when any shared benchmark slows down by more than this percent")
-		profFlags  = prof.RegisterFlags(nil)
+		profileDir = flag.String("profile-dir", "", "content-addressed profile ring each suite's CPU profile is written to, for attributing regressions (empty = no profiles)")
 		profileTop = flag.Int("profile-top", 10, "symbols per suite in the regression attribution table")
 		progress   = flag.Bool("progress", false, "report per-suite progress on stderr")
 		verbose    = flag.Bool("v", false, "stream raw go test output to stderr")
-		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		logFormat  = flag.String("log-format", "text", "log output format: text or json")
-		version    = flag.Bool("version", false, "print the bce_build_info identity line and exit")
 	)
-	flag.Parse()
-	logger, err := telemetry.InitLogging(*logLevel, *logFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcebench:", err)
-		os.Exit(2)
-	}
-	slog.SetDefault(logger.With("bin", "bcebench"))
-	telemetry.RegisterBuildLabel("revision", manifest.ShortRevision())
-	telemetry.RegisterBuildLabel("bench_schema", fmt.Sprint(bench.ReportSchema))
-	if *version {
-		fmt.Println(telemetry.BuildInfoLine())
-		return
-	}
-	// First SIGINT/SIGTERM cancels remaining suites (the in-flight
-	// `go test -bench` child sees its context die); a second kills.
-	ctx, stop := runner.ShutdownContext(context.Background())
-	defer stop()
-	if err := run(ctx, *suite, *count, *benchtime, *out, *minSpeedup,
-		*compare, *against, *maxRegress, *profFlags.Dir, *profileTop, *progress, *verbose); err != nil {
-		fmt.Fprintln(os.Stderr, "bcebench:", err)
-		os.Exit(1)
-	}
+	// The first SIGINT/SIGTERM cancels remaining suites (the in-flight
+	// `go test -bench` child sees its context die).
+	cli.Main(cli.Spec{
+		Name:   "bcebench",
+		Labels: map[string]string{"bench_schema": fmt.Sprint(bench.ReportSchema)},
+	}, func(env cli.Env) error {
+		return run(env.Ctx, *suite, *count, *benchtime, *out, *minSpeedup,
+			*compare, *against, *maxRegress, *profileDir, *profileTop, *progress, *verbose)
+	})
 }
 
 func run(ctx context.Context, suite string, count int, benchtime, out string, minSpeedup float64,
@@ -273,31 +257,11 @@ func attribute(w *os.File, bad []bench.Comparison, old, cand *bench.Report, ring
 				suite, oldRef != nil, candRef != nil)
 			continue
 		}
-		d, err := diffRefs(ring, oldRef, candRef)
+		d, err := ring.Diff(oldRef.Digest, candRef.Digest)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bcebench: suite %q: %v\n", suite, err)
 			continue
 		}
 		fmt.Fprintf(w, "\nattribution for suite %q:\n%s", suite, d.Table(top))
 	}
-}
-
-func diffRefs(ring *prof.Ring, oldRef, candRef *bench.ProfileRef) (*prof.Delta, error) {
-	oldData, err := ring.Get(oldRef.Digest)
-	if err != nil {
-		return nil, err
-	}
-	candData, err := ring.Get(candRef.Digest)
-	if err != nil {
-		return nil, err
-	}
-	oldProf, err := prof.Parse(oldData)
-	if err != nil {
-		return nil, err
-	}
-	candProf, err := prof.Parse(candData)
-	if err != nil {
-		return nil, err
-	}
-	return prof.Diff(oldProf, candProf)
 }

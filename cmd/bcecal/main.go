@@ -17,17 +17,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
+	"bce/internal/cli"
 	"bce/internal/manifest"
 	"bce/internal/predictor"
-	"bce/internal/prof"
 	"bce/internal/runner"
-	"bce/internal/telemetry"
 	"bce/internal/workload"
 )
 
@@ -38,133 +35,66 @@ func main() {
 		workers    = flag.Int("workers", 0, "parallel calibration runs (0 = GOMAXPROCS); results are identical under any setting")
 		cacheDir   = flag.String("cache", "", "directory for the on-disk calibration cache (empty = no persistence)")
 		resume     = flag.Bool("resume", false, "replay the checkpoint journal from a killed run (needs -cache)")
-		debugAddr  = flag.String("debug-addr", "", "serve pprof + expvar on this address (e.g. localhost:6060); Prometheus text format on /metrics")
 		manifestTo = flag.String("manifest", "", "write a run manifest (provenance + per-benchmark rates) to this file")
-		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		logFormat  = flag.String("log-format", "text", "log output format: text or json")
-		profFlags  = prof.RegisterFlags(nil)
-		version    = flag.Bool("version", false, "print the bce_build_info identity line and exit")
 	)
-	flag.Parse()
-	logger, err := telemetry.InitLogging(*logLevel, *logFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcecal:", err)
-		os.Exit(2)
-	}
-	logger = logger.With("bin", "bcecal")
-	slog.SetDefault(logger)
-	telemetry.RegisterBuildLabel("revision", manifest.ShortRevision())
-	telemetry.RegisterBuildLabel("manifest_schema", fmt.Sprint(manifest.SchemaVersion))
-	if *version {
-		fmt.Println(telemetry.BuildInfoLine())
-		return
-	}
-	profOpts := profFlags.Options()
-	profOpts.Sweeps = true
-	profOpts.Logger = logger
-	capturer, stopProf, err := prof.Enable(profOpts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcecal:", err)
-		os.Exit(1)
-	}
-	defer stopProf()
-	if *debugAddr != "" {
-		srv, err := telemetry.StartDebug(*debugAddr, map[string]func() any{
-			"bce_runner": func() any { return runner.LiveSnapshot() },
-			"bce_prof":   capturer.DebugVar(),
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bcecal:", err)
-			os.Exit(1)
+	cli.Main(cli.Spec{
+		Name:      "bcecal",
+		Labels:    map[string]string{"manifest_schema": fmt.Sprint(manifest.SchemaVersion)},
+		Profiling: cli.Sweeps,
+		Debug:     true,
+	}, func(env cli.Env) error {
+		if *resume && *cacheDir == "" {
+			return cli.Usagef("-resume needs -cache (the journal lives next to the result store)")
 		}
-		defer srv.Close()
-		logger.Info("debug endpoint up", "url", "http://"+srv.Addr()+"/debug/")
-	}
-	if *resume && *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "bcecal: -resume needs -cache (the journal lives next to the result store)")
-		os.Exit(2)
-	}
-	var mb *manifest.Builder
-	if *manifestTo != "" {
-		mb = manifest.NewBuilder("bcecal", os.Args[1:])
-		mb.SetConfig("bench", *bench)
-		mb.SetConfig("uops", fmt.Sprint(*uops))
-		seeds := make(map[string]int64)
-		for _, name := range workload.Names() {
-			if wl, err := workload.ByName(name); err == nil {
-				seeds[name] = wl.Seed
+		var mb *manifest.Builder
+		if *manifestTo != "" {
+			mb = manifest.NewBuilder("bcecal", os.Args[1:])
+			mb.SetConfig("bench", *bench)
+			mb.SetConfig("uops", fmt.Sprint(*uops))
+			mb.SetSeeds(workload.Seeds())
+		}
+		if err := run(env.Ctx, *bench, *uops, *workers, *cacheDir, *resume, mb); err != nil {
+			if errors.Is(err, context.Canceled) {
+				ls := runner.LiveSnapshot()
+				fmt.Fprintf(os.Stderr, "bcecal: interrupted: %d calibration runs finished before shutdown", ls.JobsDone)
+				if *cacheDir != "" {
+					fmt.Fprintf(os.Stderr, "; rerun with -resume to continue")
+				}
+				fmt.Fprintln(os.Stderr)
 			}
+			return err
 		}
-		mb.SetSeeds(seeds)
-	}
-	ctx, stop := runner.ShutdownContext(context.Background())
-	defer stop()
-	if err := run(ctx, *bench, *uops, *workers, *cacheDir, *resume, mb); err != nil {
-		if errors.Is(err, context.Canceled) {
-			ls := runner.LiveSnapshot()
-			fmt.Fprintf(os.Stderr, "bcecal: interrupted: %d calibration runs finished before shutdown", ls.JobsDone)
-			if *cacheDir != "" {
-				fmt.Fprintf(os.Stderr, "; rerun with -resume to continue")
+		if mb != nil {
+			mb.AddProfiles(env.Prof.Records()...)
+			if err := mb.WriteFile(*manifestTo, 0, 0); err != nil {
+				return err
 			}
-			fmt.Fprintln(os.Stderr)
+			fmt.Fprintf(os.Stderr, "bcecal: run manifest written to %s\n", *manifestTo)
 		}
-		fmt.Fprintln(os.Stderr, "bcecal:", err)
-		os.Exit(1)
-	}
-	if mb != nil {
-		mb.AddProfiles(capturer.Records()...)
-		if err := mb.WriteFile(*manifestTo, 0, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "bcecal:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bcecal: run manifest written to %s\n", *manifestTo)
-	}
-}
-
-// openStore builds the checkpointed store stack for -cache/-resume:
-// a crash-safe journal tiered in front of the DirStore. The cleanup
-// removes the journal on success (results all merged into the store)
-// and keeps it for -resume otherwise.
-func openStore(cacheDir string, resume bool) (runner.Store, func(ok bool), error) {
-	if cacheDir == "" {
-		return nil, func(bool) {}, nil
-	}
-	ds, err := runner.NewDirStore(cacheDir)
-	if err != nil {
-		return nil, nil, err
-	}
-	jpath := filepath.Join(ds.Dir(), "sweep.journal")
-	if !resume {
-		os.Remove(jpath)
-	}
-	j, err := runner.OpenJournal(jpath)
-	if err != nil {
-		return nil, nil, err
-	}
-	if resume {
-		fmt.Fprintf(os.Stderr, "bcecal: resumed from %s (%d checkpointed runs)\n", jpath, j.Replayed())
-	}
-	cleanup := func(ok bool) {
-		if ok {
-			j.Remove()
-		} else {
-			j.Close()
-		}
-	}
-	return runner.Tiered(j, ds), cleanup, nil
+		return nil
+	})
 }
 
 func run(ctx context.Context, bench string, uops, workers int, cacheDir string, resume bool, mb *manifest.Builder) error {
 	if bench != "" {
 		return attribute(bench, uops)
 	}
-	store, cleanup, err := openStore(cacheDir, resume)
-	if err != nil {
-		return err
-	}
 	cache := runner.NewCache[float64]()
-	if store != nil {
-		cache.SetStore(store,
+	// -cache stacks the sweep checkpoint journal in front of the
+	// DirStore, so a killed run resumes with -resume.
+	var journal *runner.Journal
+	if cacheDir != "" {
+		ds, err := runner.NewDirStore(cacheDir)
+		if err != nil {
+			return err
+		}
+		if journal, err = ds.OpenCheckpoint(resume); err != nil {
+			return err
+		}
+		if resume {
+			fmt.Fprintf(os.Stderr, "bcecal: resumed from %s (%d checkpointed runs)\n", journal.Path(), journal.Replayed())
+		}
+		cache.SetStore(runner.Tiered(journal, ds),
 			func(v float64) ([]byte, error) { return json.Marshal(v) },
 			func(b []byte) (float64, error) { var v float64; err := json.Unmarshal(b, &v); return v, err })
 	}
@@ -181,7 +111,9 @@ func run(ctx context.Context, bench string, uops, workers int, cacheDir string, 
 				return mispRate(name, uops)
 			})
 		})
-	cleanup(err == nil)
+	if journal != nil {
+		journal.Finish(err == nil) //nolint:errcheck // the journal only speeds up a resume
+	}
 	if err != nil {
 		return err
 	}

@@ -29,98 +29,57 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
-	"os/signal"
-	"syscall"
 
+	"bce/internal/cli"
 	"bce/internal/faults/netproxy"
-	"bce/internal/manifest"
-	"bce/internal/prof"
-	"bce/internal/telemetry"
 )
 
 func main() {
 	var (
-		target    = flag.String("target", "", "host:port to forward to (required)")
-		schedule  = flag.String("schedule", "", "path to the fault-schedule JSON file (required)")
-		addrFile  = flag.String("addr-file", "", "write the proxy's listen address to this file (optional)")
-		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		profFlags = prof.RegisterFlags(nil)
-		version   = flag.Bool("version", false, "print the bce_build_info identity line and exit")
+		target   = flag.String("target", "", "host:port to forward to (required)")
+		schedule = flag.String("schedule", "", "path to the fault-schedule JSON file (required)")
+		addrFile = flag.String("addr-file", "", "write the proxy's listen address to this file (optional)")
 	)
-	flag.Parse()
-	telemetry.RegisterBuildLabel("revision", manifest.ShortRevision())
-	if *version {
-		fmt.Println(telemetry.BuildInfoLine())
-		return
-	}
-	if *target == "" || *schedule == "" {
-		fmt.Fprintln(os.Stderr, "bcenetproxy: -target and -schedule are required")
-		os.Exit(2)
-	}
-
-	var level slog.Level
-	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-		fmt.Fprintf(os.Stderr, "bcenetproxy: bad -log-level %q\n", *logLevel)
-		os.Exit(2)
-	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-
 	// Process-mode profiling: one capture window spanning the proxy's
 	// lifetime (the interesting cost here is the forwarding goroutines,
 	// not any sweep phase).
-	_, stopProf, err := prof.Enable(prof.EnableOptions{
-		Dir:           *profFlags.Dir,
-		RateHz:        *profFlags.Rate,
-		MutexFraction: *profFlags.Mutex,
-		BlockRate:     *profFlags.Block,
-		Logger:        logger,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcenetproxy:", err)
-		os.Exit(2)
-	}
-	defer stopProf()
-
-	f, err := os.Open(*schedule)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcenetproxy:", err)
-		os.Exit(1)
-	}
-	sched, err := netproxy.DecodeSchedule(f)
-	f.Close()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcenetproxy: schedule:", err)
-		os.Exit(1)
-	}
-
-	p, err := netproxy.Start(*target, sched, logger)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcenetproxy:", err)
-		os.Exit(1)
-	}
-	if *addrFile != "" {
-		tmp := *addrFile + ".tmp"
-		if err := os.WriteFile(tmp, []byte(p.Addr()), 0o644); err == nil {
-			err = os.Rename(tmp, *addrFile)
+	cli.Main(cli.Spec{Name: "bcenetproxy", Profiling: cli.Process}, func(env cli.Env) error {
+		if *target == "" || *schedule == "" {
+			return cli.Usagef("-target and -schedule are required")
 		}
+		f, err := os.Open(*schedule)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bcenetproxy:", err)
-			p.Close()
-			os.Exit(1)
+			return err
 		}
-	}
-	// Greppable by scripts, like bceworker's serving line.
-	fmt.Fprintf(os.Stderr, "bcenetproxy: %s proxying for %s\n", p.Addr(), *target)
+		sched, err := netproxy.DecodeSchedule(f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("schedule: %w", err)
+		}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+		p, err := netproxy.Start(*target, sched, env.Logger)
+		if err != nil {
+			return err
+		}
+		defer p.Close()
+		if *addrFile != "" {
+			tmp := *addrFile + ".tmp"
+			if err := os.WriteFile(tmp, []byte(p.Addr()), 0o644); err != nil {
+				return err
+			}
+			if err := os.Rename(tmp, *addrFile); err != nil {
+				return err
+			}
+		}
+		// Greppable by scripts, like bceworker's serving line.
+		fmt.Fprintf(os.Stderr, "bcenetproxy: %s proxying for %s\n", p.Addr(), *target)
 
-	p.Close()
-	stats, err := json.Marshal(p.Stats())
-	if err == nil {
-		fmt.Fprintf(os.Stderr, "bcenetproxy: stats %s\n", stats)
-	}
+		<-env.Ctx.Done()
+		p.Close()
+		if stats, err := json.Marshal(p.Stats()); err == nil {
+			fmt.Fprintf(os.Stderr, "bcenetproxy: stats %s\n", stats)
+		}
+		return nil
+	})
 }

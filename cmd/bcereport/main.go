@@ -25,13 +25,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 
+	"bce/internal/cli"
 	"bce/internal/manifest"
 	"bce/internal/prof"
 	"bce/internal/report"
-	"bce/internal/telemetry"
 )
 
 func main() {
@@ -42,30 +41,15 @@ func main() {
 		compare    = flag.Bool("compare", false, "diff two manifests (old new) instead of rendering a scorecard")
 		tol        = flag.Float64("tol", 1e-9, "drift tolerance in the metric's own unit (simulations are deterministic, so near-zero is exact)")
 		quiet      = flag.Bool("quiet", false, "suppress the text scorecard on stdout")
-		profFlags  = prof.RegisterFlags(nil)
+		profileDir = flag.String("profile-dir", "", "content-addressed profile ring holding the manifests' profiles, for -compare attribution")
 		profileTop = flag.Int("profile-top", 10, "symbols per phase in the -compare profile attribution table")
-		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		logFormat  = flag.String("log-format", "text", "log output format: text or json")
-		version    = flag.Bool("version", false, "print the bce_build_info identity line and exit")
 	)
-	flag.Parse()
-	logger, err := telemetry.InitLogging(*logLevel, *logFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcereport:", err)
-		os.Exit(2)
-	}
-	slog.SetDefault(logger.With("bin", "bcereport"))
-	telemetry.RegisterBuildLabel("revision", manifest.ShortRevision())
-	telemetry.RegisterBuildLabel("manifest_schema", fmt.Sprint(manifest.SchemaVersion))
-	if *version {
-		fmt.Println(telemetry.BuildInfoLine())
-		return
-	}
-	if err := run(flag.Args(), *jsonOut, *htmlOut, *baseline, *compare, *tol, *quiet,
-		*profFlags.Dir, *profileTop); err != nil {
-		fmt.Fprintln(os.Stderr, "bcereport:", err)
-		os.Exit(1)
-	}
+	cli.Main(cli.Spec{
+		Name:   "bcereport",
+		Labels: map[string]string{"manifest_schema": fmt.Sprint(manifest.SchemaVersion)},
+	}, func(env cli.Env) error {
+		return run(env.Args, *jsonOut, *htmlOut, *baseline, *compare, *tol, *quiet, *profileDir, *profileTop)
+	})
 }
 
 func run(args []string, jsonOut, htmlOut, baseline string, compare bool, tol float64, quiet bool,
@@ -189,7 +173,7 @@ func attributeDrift(old, new *manifest.Manifest, profileDir string, top int) {
 		if !ok || nr.Kind != "cpu" {
 			continue
 		}
-		d, err := diffDigests(ring, or.Digest, nr.Digest)
+		d, err := ring.Diff(or.Digest, nr.Digest)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bcereport: note: phase %s: %v\n", nr.Phase, err)
 			continue
@@ -200,24 +184,4 @@ func attributeDrift(old, new *manifest.Manifest, profileDir string, top int) {
 	if matched == 0 {
 		fmt.Fprintln(os.Stderr, "bcereport: note: no cpu capture phase is present in both manifests with bytes in the ring")
 	}
-}
-
-func diffDigests(ring *prof.Ring, oldDigest, newDigest string) (*prof.Delta, error) {
-	oldData, err := ring.Get(oldDigest)
-	if err != nil {
-		return nil, err
-	}
-	newData, err := ring.Get(newDigest)
-	if err != nil {
-		return nil, err
-	}
-	oldProf, err := prof.Parse(oldData)
-	if err != nil {
-		return nil, err
-	}
-	newProf, err := prof.Parse(newData)
-	if err != nil {
-		return nil, err
-	}
-	return prof.Diff(oldProf, newProf)
 }

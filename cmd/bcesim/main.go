@@ -25,18 +25,16 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"strings"
 	"time"
 
+	"bce/internal/cli"
 	"bce/internal/confidence"
 	"bce/internal/config"
 	"bce/internal/gating"
-	"bce/internal/manifest"
 	"bce/internal/pipeline"
 	"bce/internal/predictor"
-	"bce/internal/prof"
 	"bce/internal/runner"
 	"bce/internal/telemetry"
 	"bce/internal/trace"
@@ -45,91 +43,45 @@ import (
 
 func main() {
 	var (
-		bench     = flag.String("bench", "gzip", "benchmark name, comma-separated list, or \"all\" (gzip, vpr, gcc, mcf, crafty, link, eon, perlbmk, gap, vortex, bzip, twolf)")
-		replayIn  = flag.String("replay", "", "replay a recorded .bcet trace instead of a synthetic benchmark")
-		machine   = flag.String("machine", "40c4w", "machine model (40c4w, 20c4w, 20c8w)")
-		predName  = flag.String("predictor", "bimodal-gshare", "branch predictor (bimodal-gshare, gshare-perceptron)")
-		estName   = flag.String("estimator", "none", "confidence estimator (none, cic, tnt, jrs, pattern)")
-		lambda    = flag.Int("lambda", 0, "estimator low-confidence threshold λ")
-		reversal  = flag.Int("reversal", 0, "CIC reversal threshold (0 disables; enables branch reversal when set)")
-		pl        = flag.Int("pl", 0, "pipeline gating branch-counter threshold (0 disables)")
-		latency   = flag.Int("latency", 0, "estimator latency in cycles (§5.4.2)")
-		warmup    = flag.Uint64("warmup", 60_000, "warmup uops")
-		measure   = flag.Uint64("measure", 200_000, "measured uops")
-		perfect   = flag.Bool("perfect", false, "oracle branch prediction")
-		workers   = flag.Int("workers", 0, "parallel simulations for multi-benchmark runs (0 = GOMAXPROCS)")
-		progress  = flag.Bool("progress", false, "report multi-benchmark progress and ETA on stderr")
-		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON timeline of the measured span (open in Perfetto or chrome://tracing; single benchmark or -replay only)")
-		auditOut  = flag.String("audit", "", "write the per-branch-PC confidence audit CSV (single benchmark or -replay only)")
-		stats     = flag.Bool("stats", false, "print the telemetry counter/histogram registry after the run")
-		debugAddr = flag.String("debug-addr", "", "serve pprof + expvar + live sweep stats on this address (e.g. localhost:6060)")
-		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		logFormat = flag.String("log-format", "text", "log output format: text or json")
-		profFlags = prof.RegisterFlags(nil)
-		version   = flag.Bool("version", false, "print the bce_build_info identity line and exit")
+		bench    = flag.String("bench", "gzip", "benchmark name, comma-separated list, or \"all\" (gzip, vpr, gcc, mcf, crafty, link, eon, perlbmk, gap, vortex, bzip, twolf)")
+		replayIn = flag.String("replay", "", "replay a recorded .bcet trace instead of a synthetic benchmark")
+		machine  = flag.String("machine", "40c4w", "machine model (40c4w, 20c4w, 20c8w)")
+		predName = flag.String("predictor", "bimodal-gshare", "branch predictor (bimodal-gshare, gshare-perceptron)")
+		estName  = flag.String("estimator", "none", "confidence estimator (none, cic, tnt, jrs, pattern)")
+		lambda   = flag.Int("lambda", 0, "estimator low-confidence threshold λ")
+		reversal = flag.Int("reversal", 0, "CIC reversal threshold (0 disables; enables branch reversal when set)")
+		pl       = flag.Int("pl", 0, "pipeline gating branch-counter threshold (0 disables)")
+		latency  = flag.Int("latency", 0, "estimator latency in cycles (§5.4.2)")
+		warmup   = flag.Uint64("warmup", 60_000, "warmup uops")
+		measure  = flag.Uint64("measure", 200_000, "measured uops")
+		perfect  = flag.Bool("perfect", false, "oracle branch prediction")
+		workers  = flag.Int("workers", 0, "parallel simulations for multi-benchmark runs (0 = GOMAXPROCS)")
+		progress = flag.Bool("progress", false, "report multi-benchmark progress and ETA on stderr")
+		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON timeline of the measured span (open in Perfetto or chrome://tracing; single benchmark or -replay only)")
+		auditOut = flag.String("audit", "", "write the per-branch-PC confidence audit CSV (single benchmark or -replay only)")
+		stats    = flag.Bool("stats", false, "print the telemetry counter/histogram registry after the run")
 	)
-	flag.Parse()
-
-	logger, err := telemetry.InitLogging(*logLevel, *logFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcesim:", err)
-		os.Exit(2)
-	}
-	logger = logger.With("bin", "bcesim")
-	slog.SetDefault(logger)
-	telemetry.RegisterBuildLabel("revision", manifest.ShortRevision())
-	telemetry.RegisterBuildLabel("trace_format", fmt.Sprint(trace.FormatVersion))
-	if *version {
-		fmt.Println(telemetry.BuildInfoLine())
-		return
-	}
-
-	// Process-mode profiling: one capture window spanning the whole
-	// invocation (a bcesim run is one unit of work, unlike the sweep
-	// drivers).
-	profOpts := profFlags.Options()
-	profOpts.Logger = logger
-	capturer, stopProf, err := prof.Enable(profOpts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcesim:", err)
-		os.Exit(2)
-	}
-	defer stopProf()
-
-	if *debugAddr != "" {
-		srv, err := telemetry.StartDebug(*debugAddr, map[string]func() any{
-			"bce_runner": func() any { return runner.LiveSnapshot() },
-			"bce_prof":   capturer.DebugVar(),
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bcesim:", err)
-			os.Exit(1)
+	// Process-mode profiling: a bcesim run is one unit of work, unlike
+	// the sweep drivers.
+	cli.Main(cli.Spec{
+		Name:      "bcesim",
+		Labels:    map[string]string{"trace_format": fmt.Sprint(trace.FormatVersion)},
+		Profiling: cli.Process,
+		Debug:     true,
+	}, func(env cli.Env) error {
+		cfg := simConfig{
+			machine: *machine, predName: *predName, estName: *estName,
+			lambda: *lambda, reversal: *reversal, pl: *pl, latency: *latency,
+			warmup: *warmup, measure: *measure, perfect: *perfect,
+			tracePath: *traceOut, auditPath: *auditOut, stats: *stats,
 		}
-		defer srv.Close()
-		logger.Info("debug endpoint up", "url", "http://"+srv.Addr()+"/debug/")
-	}
-
-	cfg := simConfig{
-		machine: *machine, predName: *predName, estName: *estName,
-		lambda: *lambda, reversal: *reversal, pl: *pl, latency: *latency,
-		warmup: *warmup, measure: *measure, perfect: *perfect,
-		tracePath: *traceOut, auditPath: *auditOut, stats: *stats,
-	}
-	// First SIGINT/SIGTERM cancels multi-benchmark fan-outs gracefully;
-	// a second kills the process.
-	ctx, stop := runner.ShutdownContext(context.Background())
-	defer stop()
-	if err := run(ctx, *bench, *replayIn, cfg, *workers, *progress); err != nil {
+		err := run(env.Ctx, *bench, *replayIn, cfg, *workers, *progress)
 		if errors.Is(err, context.Canceled) {
 			ls := runner.LiveSnapshot()
 			fmt.Fprintf(os.Stderr, "bcesim: interrupted: %d simulations finished before shutdown\n", ls.JobsDone)
 		}
-		// Close the capture window explicitly: a failed run's profile
-		// is the one worth keeping, and os.Exit skips defers.
-		stopProf()
-		fmt.Fprintln(os.Stderr, "bcesim:", err)
-		os.Exit(1)
-	}
+		return err
+	})
 }
 
 // timeUnit is the rounding granularity for progress timestamps.

@@ -10,12 +10,13 @@
 //	bcetables -exp fig5 -csv       # density data as CSV
 //	bcetables -exp fidelity -manifest run.json  # scorecard feedstock
 //
-// Experiments: table2 table3 table4 table5 table6 fig4 fig5 fig6 fig7
-// fig8 fig9 latency all — plus the extension studies ablate-signal,
-// ablate-reversal, ablate-site, ablate-threshold, ablate-history and
-// variability (run with -exp extras for all of those). -exp fidelity
-// runs the scorecard core (table2 + table3 + table4 + fig8), the
-// composite the CI fidelity gate sweeps.
+// Experiments, in the order a group runs them: table2 table3 table4
+// table5 table6 fig4/5 (also fig4, fig5) fig6/7 (also fig6, fig7) fig8
+// fig9 latency, then the extension studies ablate-signal
+// ablate-reversal ablate-site ablate-threshold ablate-history
+// ablate-jrs variability. Groups: all (table2 through latency),
+// fidelity (table2 table3 table4 fig8, the scorecard core the CI
+// fidelity gate sweeps) and extras (the extension studies).
 //
 // With -manifest the invocation also writes a run manifest: config
 // fingerprint, git revision, per-simulation results and runner/cache
@@ -24,16 +25,19 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
 
+	"bce/internal/cli"
 	"bce/internal/config"
 	"bce/internal/core"
 	"bce/internal/dist"
@@ -54,22 +58,9 @@ var fleetMon atomic.Pointer[dist.Fleet]
 // statistics.
 var coordMon atomic.Pointer[dist.Coordinator]
 
-// workloadSeeds maps every benchmark to its deterministic base seed,
-// recorded in run manifests so a result can be traced to its exact
-// input stream.
-func workloadSeeds() map[string]int64 {
-	seeds := make(map[string]int64)
-	for _, name := range workload.Names() {
-		if wl, err := workload.ByName(name); err == nil {
-			seeds[name] = wl.Seed
-		}
-	}
-	return seeds
-}
-
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment to regenerate (table2..table6, fig4..fig9, latency, all)")
+		exp        = flag.String("exp", "all", "experiment to regenerate: "+strings.Join(selectors(), ", "))
 		bench      = flag.String("bench", "gcc", "benchmark for the density figures (fig4-fig7)")
 		quick      = flag.Bool("quick", false, "use reduced run lengths")
 		segments   = flag.Int("segments", 1, "independent trace segments per benchmark (the paper uses 2)")
@@ -80,55 +71,20 @@ func main() {
 		resume     = flag.Bool("resume", false, "replay the checkpoint journal from a killed run (needs -cache); completed simulations are not re-run and merged output is identical to an uninterrupted run")
 		jobTimeout = flag.Duration("job-timeout", 0, "per-simulation deadline (0 = none); timed-out jobs are retried per -retries")
 		retries    = flag.Int("retries", 0, "retries per job for transient failures, with exponential backoff")
-		debugAddr  = flag.String("debug-addr", "", "serve pprof + expvar + live sweep stats on this address (e.g. localhost:6060); Prometheus text format on /metrics")
 		manifestTo = flag.String("manifest", "", "write a run manifest (provenance + per-job results) to this file")
 		remote     = flag.String("workers-remote", "", "comma-separated bceworker base URLs (e.g. http://127.0.0.1:8371); queue the sweep's timing simulations for them to pull, then aggregate locally — output is byte-identical to a single-process run")
 		distBatch  = flag.Int("dist-batch", 0, "jobs per batch request to remote workers (0 = default)")
 		traceSpans = flag.String("trace-spans", "", "write the distributed sweep's merged cross-process span timeline (Chrome trace_event JSON, needs -workers-remote) to this file")
-		hedge      = flag.Bool("hedge", true, "once the batch queue is empty, let idle workers re-lease batches still in flight elsewhere and take the first result; duplicate executions never merge twice")
-		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		logFormat  = flag.String("log-format", "text", "log output format: text or json")
-		profFlags  = prof.RegisterFlags(nil)
-		version    = flag.Bool("version", false, "print the bce_build_info identity line and exit")
 	)
-	flag.Parse()
-
-	logger, err := telemetry.InitLogging(*logLevel, *logFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcetables:", err)
-		os.Exit(2)
-	}
-	logger = logger.With("bin", "bcetables")
-	slog.SetDefault(logger)
-	telemetry.RegisterBuildLabel("revision", manifest.ShortRevision())
-	telemetry.RegisterBuildLabel("dist_schema", fmt.Sprint(dist.SchemaVersion))
-	telemetry.RegisterBuildLabel("manifest_schema", fmt.Sprint(manifest.SchemaVersion))
-	if *version {
-		fmt.Println(telemetry.BuildInfoLine())
-		return
-	}
-
-	// Continuous profiling in sweep mode: every runner.Map sweep
-	// becomes a capture window into the -profile-dir ring, and the
-	// manifest (if any) records the digests.
-	profOpts := profFlags.Options()
-	profOpts.Sweeps = true
-	profOpts.Logger = logger
-	capturer, stopProf, err := prof.Enable(profOpts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcetables:", err)
-		os.Exit(1)
-	}
-	defer stopProf()
-
-	if *traceSpans != "" && *remote == "" {
-		fmt.Fprintln(os.Stderr, "bcetables: -trace-spans needs -workers-remote (spans trace the distributed sweep)")
-		os.Exit(2)
-	}
-
-	if *debugAddr != "" {
-		srv, err := telemetry.StartDebug(*debugAddr, map[string]func() any{
-			"bce_runner": func() any { return runner.LiveSnapshot() },
+	cli.Main(cli.Spec{
+		Name: "bcetables",
+		Labels: map[string]string{
+			"dist_schema":     fmt.Sprint(dist.SchemaVersion),
+			"manifest_schema": fmt.Sprint(manifest.SchemaVersion),
+		},
+		Profiling: cli.Sweeps,
+		Debug:     true,
+		Vars: map[string]func() any{
 			"bce_result_cache": func() any {
 				hits, misses := core.ResultCacheStats()
 				return map[string]uint64{"hits": hits, "misses": misses}
@@ -152,120 +108,106 @@ func main() {
 				}
 				return nil
 			},
-			"bce_prof": capturer.DebugVar(),
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bcetables:", err)
-			os.Exit(1)
+		},
+	}, func(env cli.Env) error {
+		if *traceSpans != "" && *remote == "" {
+			return cli.Usagef("-trace-spans needs -workers-remote (spans trace the distributed sweep)")
 		}
-		defer srv.Close()
-		logger.Info("debug endpoint up", "url", "http://"+srv.Addr()+"/debug/")
-	}
-
-	core.SetParallelism(*workers)
-	core.SetJobTimeout(*jobTimeout)
-	core.SetRetries(*retries, 100*time.Millisecond)
-	if *progress {
-		core.SetProgress(func(p runner.Progress) {
-			fmt.Fprintf(os.Stderr, "bcetables: %d/%d jobs, elapsed %s, eta %s\n",
-				p.Done, p.Total, p.Elapsed.Round(time.Second), p.ETA.Round(time.Second))
-		})
-	}
-	if *resume && *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "bcetables: -resume needs -cache (the journal lives next to the result store)")
-		os.Exit(2)
-	}
-	if *cacheDir != "" {
-		if err := core.SetResultCacheDir(*cacheDir); err != nil {
-			fmt.Fprintln(os.Stderr, "bcetables:", err)
-			os.Exit(1)
+		if *resume && *cacheDir == "" {
+			return cli.Usagef("-resume needs -cache (the journal lives next to the result store)")
 		}
-		replayed, err := core.SetCheckpoint(*resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bcetables:", err)
-			os.Exit(1)
-		}
-		if *resume {
-			logger.Info("resumed from checkpoint",
-				"path", core.CheckpointPath(), "simulations", replayed)
-		}
-	}
-
-	// First SIGINT/SIGTERM cancels the sweep (in-flight jobs finish and
-	// checkpoint); a second kills the process.
-	ctx, stop := runner.ShutdownContext(context.Background())
-	defer stop()
-	core.SetBaseContext(ctx)
-
-	sz := core.DefaultSizes()
-	if *quick {
-		sz = core.QuickSizes()
-	}
-	sz.Segments = *segments
-
-	var mb *manifest.Builder
-	if *manifestTo != "" {
-		mb = manifest.NewBuilder("bcetables", os.Args[1:])
-		mb.SetSizes(manifest.Sizes{
-			Warmup: sz.Warmup, Measure: sz.Measure,
-			FuncWarmup: sz.FuncWarmup, FuncMeasure: sz.FuncMeasure,
-			Segments: *segments,
-		})
-		mb.SetSeeds(workloadSeeds())
-		mb.SetConfig("exp", *exp)
-		mb.SetConfig("bench", *bench)
-		core.SetJobObserver(func(rec core.JobRecord) {
-			mb.AddJob(manifest.Job{
-				Key: rec.Key, Kind: rec.Kind, Bench: rec.Bench, Cached: rec.Cached,
-				Run: rec.Run, Confusion: rec.Confusion,
-			})
-		})
-	}
-
-	fail := func(err error) {
-		if errors.Is(err, context.Canceled) {
-			interrupted()
-		}
-		core.CloseCheckpoint(false)
-		fmt.Fprintln(os.Stderr, "bcetables:", err)
-		os.Exit(1)
-	}
-
-	// Distributed execution: enumerate the sweep's job space, queue it
-	// for the remote workers, and merge every result into the local
-	// cache/store. The aggregation pass below then runs fully
-	// cache-hit, so its stdout is byte-identical to a single-process
-	// sweep by construction.
-	if *remote != "" {
 		urls := splitList(*remote)
-		if len(urls) == 0 {
-			fmt.Fprintln(os.Stderr, "bcetables: -workers-remote lists no worker URLs")
-			os.Exit(2)
+		if *remote != "" && len(urls) == 0 {
+			return cli.Usagef("-workers-remote lists no worker URLs")
 		}
-		if err := distribute(ctx, urls, *exp, *bench, *csv, sz, mb, *distBatch, *jobTimeout, *retries, *traceSpans, *hedge, capturer); err != nil {
-			fail(err)
-		}
-	}
 
-	if err := run(*exp, *bench, *csv, sz, mb, os.Stdout); err != nil {
-		fail(err)
-	}
-	if err := core.CloseCheckpoint(true); err != nil {
-		fmt.Fprintln(os.Stderr, "bcetables: checkpoint:", err)
-	}
-	if mb != nil {
-		mb.AddProfiles(capturer.Records()...)
-		hits, misses := core.ResultCacheStats()
-		if err := mb.WriteFile(*manifestTo, hits, misses); err != nil {
-			fmt.Fprintln(os.Stderr, "bcetables:", err)
-			os.Exit(1)
+		core.SetParallelism(*workers)
+		core.SetJobTimeout(*jobTimeout)
+		core.SetRetries(*retries, 100*time.Millisecond)
+		if *progress {
+			core.SetProgress(func(p runner.Progress) {
+				fmt.Fprintf(os.Stderr, "bcetables: %d/%d jobs, elapsed %s, eta %s\n",
+					p.Done, p.Total, p.Elapsed.Round(time.Second), p.ETA.Round(time.Second))
+			})
 		}
-		logger.Info("run manifest written", "path", *manifestTo)
-	}
-	if *progress {
-		hits, misses := core.ResultCacheStats()
-		logger.Info("result cache summary", "hits", hits, "misses", misses, "avoided", hits)
-	}
+		if *cacheDir != "" {
+			if err := core.SetResultCacheDir(*cacheDir); err != nil {
+				return err
+			}
+			replayed, err := core.SetCheckpoint(*resume)
+			if err != nil {
+				return err
+			}
+			if *resume {
+				env.Logger.Info("resumed from checkpoint",
+					"path", core.CheckpointPath(), "simulations", replayed)
+			}
+		}
+		// The first SIGINT/SIGTERM cancels the sweep: in-flight jobs
+		// finish and checkpoint.
+		core.SetBaseContext(env.Ctx)
+
+		sz := core.DefaultSizes()
+		if *quick {
+			sz = core.QuickSizes()
+		}
+		sz.Segments = *segments
+
+		var mb *manifest.Builder
+		if *manifestTo != "" {
+			mb = manifest.NewBuilder("bcetables", os.Args[1:])
+			mb.SetSizes(manifest.Sizes{
+				Warmup: sz.Warmup, Measure: sz.Measure,
+				FuncWarmup: sz.FuncWarmup, FuncMeasure: sz.FuncMeasure,
+				Segments: *segments,
+			})
+			mb.SetSeeds(workload.Seeds())
+			mb.SetConfig("exp", *exp)
+			mb.SetConfig("bench", *bench)
+			core.SetJobObserver(func(rec core.JobRecord) {
+				mb.AddJob(manifest.Job{
+					Key: rec.Key, Kind: rec.Kind, Bench: rec.Bench, Cached: rec.Cached,
+					Run: rec.Run, Confusion: rec.Confusion,
+				})
+			})
+		}
+
+		// Distributed execution: enumerate the sweep's job space, queue
+		// it for the remote workers, and merge every result into the
+		// local cache/store. The aggregation pass below then runs fully
+		// cache-hit, so its stdout is byte-identical to a single-process
+		// sweep by construction.
+		var err error
+		if len(urls) > 0 {
+			err = distribute(env.Ctx, urls, *exp, *bench, *csv, sz, mb, *distBatch, *jobTimeout, *retries, *traceSpans, env.Prof)
+		}
+		if err == nil {
+			err = run(*exp, *bench, *csv, sz, mb, os.Stdout)
+		}
+		if err != nil {
+			if errors.Is(err, context.Canceled) {
+				interrupted()
+			}
+			core.CloseCheckpoint(false) //nolint:errcheck // the run error is the one to report
+			return err
+		}
+		if err := core.CloseCheckpoint(true); err != nil {
+			fmt.Fprintln(os.Stderr, "bcetables: checkpoint:", err)
+		}
+		if mb != nil {
+			mb.AddProfiles(env.Prof.Records()...)
+			hits, misses := core.ResultCacheStats()
+			if err := mb.WriteFile(*manifestTo, hits, misses); err != nil {
+				return err
+			}
+			env.Logger.Info("run manifest written", "path", *manifestTo)
+		}
+		if *progress {
+			hits, misses := core.ResultCacheStats()
+			env.Logger.Info("result cache summary", "hits", hits, "misses", misses, "avoided", hits)
+		}
+		return nil
+	})
 }
 
 // interrupted prints the partial-results summary after a graceful
@@ -299,20 +241,19 @@ func splitList(s string) []string {
 // plan, so only missing work is dispatched.
 func distribute(ctx context.Context, urls []string, exp, bench string, csv bool,
 	sz core.Sizes, mb *manifest.Builder, batch int, jobTimeout time.Duration, retries int,
-	traceSpans string, hedge bool, capturer *prof.Capturer) error {
+	traceSpans string, capturer *prof.Capturer) error {
 	log := slog.Default().With("component", "coordinator")
 	var tracer *telemetry.Tracer
 	if traceSpans != "" {
 		tracer = telemetry.NewTracer("coordinator")
 	}
 	coord, err := dist.NewCoordinator(dist.Options{
-		Workers:        urls,
-		BatchSize:      batch,
-		JobTimeout:     jobTimeout,
-		Retries:        retries,
-		DisableHedging: !hedge,
-		Logger:         log,
-		Tracer:         tracer,
+		Workers:    urls,
+		BatchSize:  batch,
+		JobTimeout: jobTimeout,
+		Retries:    retries,
+		Logger:     log,
+		Tracer:     tracer,
 		OnResult: func(worker string, job dist.Job, run metrics.Run) {
 			core.InjectResult(job.Key, run)
 			if mb != nil {
@@ -429,6 +370,110 @@ func writeSpanFile(path string, tracer *telemetry.Tracer) error {
 	return f.Close()
 }
 
+// experiment is one entry of the -exp table. A group selects its
+// members in table order.
+type experiment struct {
+	name    string
+	aliases []string
+	groups  []string
+	// record names the manifest result the output is stored under;
+	// empty leaves it out of the manifest.
+	record string
+	run    func(sz core.Sizes, bench string) (fmt.Stringer, error)
+}
+
+var (
+	inAll      = []string{"all"}
+	inFidelity = []string{"all", "fidelity"}
+	inExtras   = []string{"extras"}
+)
+
+var experiments = []experiment{
+	{name: "table2", groups: inFidelity, record: "table2", run: sized(core.Table2)},
+	{name: "table3", groups: inFidelity, record: "table3", run: sized(core.Table3)},
+	{name: "table4", groups: inFidelity, record: "table4", run: sized(core.Table4)},
+	{name: "table5", groups: inAll, record: "table5", run: sized(core.Table5)},
+	{name: "table6", groups: inAll, record: "table6", run: sized(core.Table6)},
+	{name: "fig4/5", aliases: []string{"fig4", "fig5"}, groups: inAll, record: "density-cic", run: density("cic", "Figures 4-5")},
+	{name: "fig6/7", aliases: []string{"fig6", "fig7"}, groups: inAll, record: "density-tnt", run: density("tnt", "Figures 6-7")},
+	{name: "fig8", groups: inFidelity, record: "fig8", run: sized(func(sz core.Sizes) (*core.CombinedResult, error) {
+		return core.Combined(config.Baseline40x4(), sz)
+	})},
+	{name: "fig9", groups: inAll, record: "fig9", run: sized(func(sz core.Sizes) (*core.CombinedResult, error) {
+		return core.Combined(config.Wide20x8(), sz)
+	})},
+	{name: "latency", groups: inAll, record: "latency", run: sized(core.Latency)},
+	{name: "ablate-signal", groups: inExtras, run: sized(core.AblateTrainingSignal)},
+	{name: "ablate-reversal", groups: inExtras, run: sized(core.AblateReversalSource)},
+	{name: "ablate-site", groups: inExtras, run: sized(core.AblateTrainingSite)},
+	{name: "ablate-threshold", groups: inExtras, run: sized(core.AblateTrainThreshold)},
+	{name: "ablate-history", groups: inExtras, run: sized(core.AblateHistoryLength)},
+	{name: "ablate-jrs", groups: inExtras, run: sized(core.AblateJRSIndexing)},
+	{name: "variability", groups: inExtras, run: sized(func(sz core.Sizes) (*core.VariabilityReport, error) {
+		return core.Variability(0, 1, sz)
+	})},
+}
+
+// sized adapts an experiment that ignores -bench.
+func sized[T fmt.Stringer](f func(core.Sizes) (T, error)) func(core.Sizes, string) (fmt.Stringer, error) {
+	return func(sz core.Sizes, _ string) (fmt.Stringer, error) {
+		v, err := f(sz)
+		return v, err
+	}
+}
+
+// density runs one estimator-output density figure on -bench.
+func density(scheme, figs string) func(core.Sizes, string) (fmt.Stringer, error) {
+	return func(sz core.Sizes, bench string) (fmt.Stringer, error) {
+		d, err := core.Density(bench, scheme, sz)
+		if err != nil {
+			return nil, err
+		}
+		heading := fmt.Sprintf("== %s (%s estimator output density, benchmark %s)\n", figs, scheme, bench)
+		return densityFigure{heading, d}, nil
+	}
+}
+
+// densityFigure prints a density result under its heading, as text or
+// (-csv) as CSV; the manifest records the bare result.
+type densityFigure struct {
+	heading string
+	d       *core.DensityResult
+}
+
+func (f densityFigure) String() string               { return f.heading + f.d.String() }
+func (f densityFigure) CSV() string                  { return f.heading + f.d.CSV() }
+func (f densityFigure) MarshalJSON() ([]byte, error) { return json.Marshal(f.d) }
+
+// selectors lists every -exp value: experiment names and aliases in
+// table order, then the groups.
+func selectors() []string {
+	var names, groups []string
+	for _, e := range experiments {
+		names = append(names, e.name)
+		names = append(names, e.aliases...)
+		for _, g := range e.groups {
+			if !slices.Contains(groups, g) {
+				groups = append(groups, g)
+			}
+		}
+	}
+	return append(names, groups...)
+}
+
+// selected returns the experiments exp names, in table order.
+func selected(exp string) []experiment {
+	var sel []experiment
+	for _, e := range experiments {
+		if e.name == exp || slices.Contains(e.aliases, exp) || slices.Contains(e.groups, exp) {
+			sel = append(sel, e)
+		}
+	}
+	return sel
+}
+
+// run regenerates the experiments exp selects, printing each result to
+// out and recording it in mb (if not nil).
 func run(exp, bench string, csv bool, sz core.Sizes, mb *manifest.Builder, out io.Writer) error {
 	// A planning pass (distribute) runs this function against
 	// io.Discard purely to enumerate jobs; keep its stderr decoration
@@ -437,267 +482,29 @@ func run(exp, bench string, csv bool, sz core.Sizes, mb *manifest.Builder, out i
 	if out == io.Discard {
 		errOut = io.Discard
 	}
-	// record stores an experiment's structured result in the manifest;
-	// a nil builder (no -manifest, or the planning pass) makes it a
-	// no-op.
-	record := func(name string, v any) error {
-		if mb == nil {
-			return nil
-		}
-		return mb.AddResult(name, v)
+	sel := selected(exp)
+	if len(sel) == 0 {
+		return fmt.Errorf("unknown experiment %q (want one of %s)", exp, strings.Join(selectors(), ", "))
 	}
-	density := func(scheme, figs string) error {
-		d, err := core.Density(bench, scheme, sz)
-		if err != nil {
-			return err
-		}
-		if err := record("density-"+scheme, d); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "== %s (%s estimator output density, benchmark %s)\n", figs, scheme, bench)
-		if csv {
-			fmt.Fprint(out, d.CSV())
-		} else {
-			fmt.Fprint(out, d.String())
-		}
-		return nil
-	}
-	all := exp == "all"
-	// fidelity is the scorecard composite: the experiments the paper
-	// fidelity gate scores, at one flag.
-	fid := exp == "fidelity"
-	ran := false
-	timed := func(name string, fn func() error) error {
+	for _, e := range sel {
 		start := time.Now()
-		if err := fn(); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+		v, err := e.run(sz, bench)
+		if err == nil && mb != nil && e.record != "" {
+			err = mb.AddResult(e.record, v)
 		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
+		text := v.String()
+		if c, ok := v.(interface{ CSV() string }); ok && csv {
+			text = c.CSV()
+		}
+		fmt.Fprint(out, text)
 		// Wall-clock decoration goes to stderr so stdout carries only
 		// the deterministic results — a resumed run's stdout is
 		// byte-identical to an uninterrupted one.
-		fmt.Fprintf(errOut, "[%s regenerated in %.1fs]\n", name, time.Since(start).Seconds())
+		fmt.Fprintf(errOut, "[%s regenerated in %.1fs]\n", e.name, time.Since(start).Seconds())
 		fmt.Fprintln(out)
-		ran = true
-		return nil
-	}
-
-	if all || fid || exp == "table2" {
-		if err := timed("table2", func() error {
-			t, err := core.Table2(sz)
-			if err != nil {
-				return err
-			}
-			if err := record("table2", t); err != nil {
-				return err
-			}
-			fmt.Fprint(out, t)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || fid || exp == "table3" {
-		if err := timed("table3", func() error {
-			t, err := core.Table3(sz)
-			if err != nil {
-				return err
-			}
-			if err := record("table3", t); err != nil {
-				return err
-			}
-			fmt.Fprint(out, t)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || fid || exp == "table4" {
-		if err := timed("table4", func() error {
-			t, err := core.Table4(sz)
-			if err != nil {
-				return err
-			}
-			if err := record("table4", t); err != nil {
-				return err
-			}
-			fmt.Fprint(out, t)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || exp == "table5" {
-		if err := timed("table5", func() error {
-			t, err := core.Table5(sz)
-			if err != nil {
-				return err
-			}
-			if err := record("table5", t); err != nil {
-				return err
-			}
-			fmt.Fprint(out, t)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || exp == "table6" {
-		if err := timed("table6", func() error {
-			t, err := core.Table6(sz)
-			if err != nil {
-				return err
-			}
-			if err := record("table6", t); err != nil {
-				return err
-			}
-			fmt.Fprint(out, t)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || exp == "fig4" || exp == "fig5" {
-		if err := timed("fig4/5", func() error { return density("cic", "Figures 4-5") }); err != nil {
-			return err
-		}
-	}
-	if all || exp == "fig6" || exp == "fig7" {
-		if err := timed("fig6/7", func() error { return density("tnt", "Figures 6-7") }); err != nil {
-			return err
-		}
-	}
-	if all || fid || exp == "fig8" {
-		if err := timed("fig8", func() error {
-			c, err := core.Combined(config.Baseline40x4(), sz)
-			if err != nil {
-				return err
-			}
-			if err := record("fig8", c); err != nil {
-				return err
-			}
-			fmt.Fprint(out, c)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || exp == "fig9" {
-		if err := timed("fig9", func() error {
-			c, err := core.Combined(config.Wide20x8(), sz)
-			if err != nil {
-				return err
-			}
-			if err := record("fig9", c); err != nil {
-				return err
-			}
-			fmt.Fprint(out, c)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || exp == "latency" {
-		if err := timed("latency", func() error {
-			l, err := core.Latency(sz)
-			if err != nil {
-				return err
-			}
-			if err := record("latency", l); err != nil {
-				return err
-			}
-			fmt.Fprint(out, l)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	extras := exp == "extras"
-	if extras || exp == "ablate-signal" {
-		if err := timed("ablate-signal", func() error {
-			a, err := core.AblateTrainingSignal(sz)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, a)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if extras || exp == "ablate-reversal" {
-		if err := timed("ablate-reversal", func() error {
-			a, err := core.AblateReversalSource(sz)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, a)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if extras || exp == "ablate-site" {
-		if err := timed("ablate-site", func() error {
-			a, err := core.AblateTrainingSite(sz)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, a)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if extras || exp == "ablate-threshold" {
-		if err := timed("ablate-threshold", func() error {
-			a, err := core.AblateTrainThreshold(sz)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, a)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if extras || exp == "ablate-history" {
-		if err := timed("ablate-history", func() error {
-			a, err := core.AblateHistoryLength(sz)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, a)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if extras || exp == "ablate-jrs" {
-		if err := timed("ablate-jrs", func() error {
-			a, err := core.AblateJRSIndexing(sz)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, a)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if extras || exp == "variability" {
-		if err := timed("variability", func() error {
-			v, err := core.Variability(0, 1, sz)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, v)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q (want table2..table6, fig4..fig9, latency, all, fidelity, extras, ablate-*, variability)", exp)
 	}
 	return nil
 }

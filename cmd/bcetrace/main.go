@@ -13,120 +13,44 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 
-	"bce/internal/manifest"
-	"bce/internal/prof"
-	"bce/internal/runner"
-	"bce/internal/telemetry"
+	"bce/internal/cli"
 	"bce/internal/trace"
 	"bce/internal/workload"
 )
 
 func main() {
-	args := os.Args[1:]
-	// Global options, before the subcommand: -debug-addr <addr>,
-	// -log-level <level>, -log-format <format>, -profile-dir <dir>,
-	// -profile-rate <hz>, and the zero-operand -version.
-	debugAddr, logLevel, logFormat := "", "info", "text"
-	profileDir, profileRate, version := "", 0, false
-globals:
-	for len(args) >= 1 {
-		if args[0] == "-version" {
-			version = true
-			args = args[1:]
-			continue
+	cli.Main(cli.Spec{
+		Name:      "bcetrace",
+		Labels:    map[string]string{"trace_format": fmt.Sprint(trace.FormatVersion)},
+		Profiling: cli.Process,
+		Debug:     true,
+	}, func(env cli.Env) error {
+		if len(env.Args) == 0 {
+			return cli.Usagef(usage)
 		}
-		if len(args) < 2 {
-			break
+		switch args := env.Args[1:]; env.Args[0] {
+		case "gen":
+			// A SIGINT during gen stops generation at a record boundary
+			// and removes the partial (footerless, hence unreadable)
+			// output file.
+			return cmdGen(env.Ctx, args)
+		case "dump":
+			return cmdDump(args)
+		case "stat":
+			return cmdStat(args)
 		}
-		switch args[0] {
-		case "-debug-addr":
-			debugAddr = args[1]
-		case "-log-level":
-			logLevel = args[1]
-		case "-log-format":
-			logFormat = args[1]
-		case "-profile-dir":
-			profileDir = args[1]
-		case "-profile-rate":
-			if _, err := fmt.Sscanf(args[1], "%d", &profileRate); err != nil {
-				fmt.Fprintf(os.Stderr, "bcetrace: bad -profile-rate %q\n", args[1])
-				os.Exit(2)
-			}
-		default:
-			break globals
-		}
-		args = args[2:]
-	}
-	logger, err := telemetry.InitLogging(logLevel, logFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcetrace:", err)
-		os.Exit(2)
-	}
-	logger = logger.With("bin", "bcetrace")
-	slog.SetDefault(logger)
-	telemetry.RegisterBuildLabel("revision", manifest.ShortRevision())
-	telemetry.RegisterBuildLabel("trace_format", fmt.Sprint(trace.FormatVersion))
-	if version {
-		fmt.Println(telemetry.BuildInfoLine())
-		return
-	}
-	// Process-mode profiling: one window around whichever subcommand
-	// runs.
-	capturer, stopProf, err := prof.Enable(prof.EnableOptions{
-		Dir: profileDir, RateHz: profileRate, Logger: logger,
+		return cli.Usagef(usage)
 	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcetrace:", err)
-		os.Exit(2)
-	}
-	defer stopProf()
-	if debugAddr != "" {
-		srv, err := telemetry.StartDebug(debugAddr, map[string]func() any{
-			"bce_prof": capturer.DebugVar(),
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bcetrace:", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		logger.Info("debug endpoint up", "url", "http://"+srv.Addr()+"/debug/")
-	}
-	if len(args) < 1 {
-		usage()
-		os.Exit(2)
-	}
-	// A SIGINT during gen stops generation at a record boundary and
-	// removes the partial (footerless, hence unreadable) output file.
-	ctx, stop := runner.ShutdownContext(context.Background())
-	defer stop()
-	switch args[0] {
-	case "gen":
-		err = cmdGen(ctx, args[1:])
-	case "dump":
-		err = cmdDump(args[1:])
-	case "stat":
-		err = cmdStat(args[1:])
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcetrace:", err)
-		os.Exit(1)
-	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
-  bcetrace [-debug-addr <addr>] [-log-level <level>] [-log-format <fmt>]
-           [-profile-dir <dir>] [-profile-rate <hz>] [-version] <command>
+// usage names the subcommands; the shared flags (-debug-addr,
+// -log-level, -log-format, -version, -profile-*) go before the command.
+const usage = `usage: bcetrace [flags] <command>
   bcetrace gen  -bench <name> -n <uops> -o <file>   generate a trace
   bcetrace dump -i <file> [-n <uops>] [-skip <uops>] print uops
-  bcetrace stat -i <file>                            summarize a trace`)
-}
+  bcetrace stat -i <file>                            summarize a trace`
 
 func cmdGen(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)

@@ -11,8 +11,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"bce/internal/metrics"
@@ -180,37 +178,28 @@ func SetResultCacheDir(dir string) error {
 }
 
 // CheckpointPath returns where the sweep checkpoint journal lives for
-// the configured cache directory ("" when no cache is attached): an
-// append-only JSONL log next to the DirStore's entries.
+// the configured cache directory ("" when no cache is attached).
 func CheckpointPath() string {
 	if execDirStore == nil {
 		return ""
 	}
-	return filepath.Join(execDirStore.Dir(), "sweep.journal")
+	return execDirStore.CheckpointPath()
 }
 
 // SetCheckpoint opens the crash-safe checkpoint journal next to the
-// result-cache DirStore and stacks it in front of the store, so every
-// finished simulation is fsynced before the sweep moves on. With
-// resume true an existing journal's records replay (a killed sweep
-// picks up where it stopped); with resume false any stale journal is
-// ignored and overwritten. Returns the number of replayed records.
+// result-cache DirStore (runner.DirStore.OpenCheckpoint) and stacks it
+// in front of the store, so every finished simulation is fsynced
+// before the sweep moves on. Returns the number of replayed records.
 // Requires SetResultCacheDir first.
 func SetCheckpoint(resume bool) (int, error) {
-	path := CheckpointPath()
-	if path == "" {
+	if execDirStore == nil {
 		return 0, fmt.Errorf("core: checkpointing needs a result-cache directory (SetResultCacheDir)")
 	}
 	if execJournal != nil {
 		execJournal.Close()
 		execJournal = nil
 	}
-	if !resume {
-		// Start a fresh journal: drop any leftover from a previous run
-		// whose results are already merged into the DirStore.
-		os.Remove(path)
-	}
-	j, err := runner.OpenJournal(path)
+	j, err := execDirStore.OpenCheckpoint(resume)
 	if err != nil {
 		return 0, err
 	}
@@ -219,9 +208,9 @@ func SetCheckpoint(resume bool) (int, error) {
 	return j.Replayed(), nil
 }
 
-// CloseCheckpoint flushes and closes the checkpoint journal; with
-// remove true (a sweep that finished cleanly, its results all in the
-// DirStore) the journal file is deleted so the next run starts fresh.
+// CloseCheckpoint closes the checkpoint journal per
+// runner.Journal.Finish: deleted when remove (the sweep finished
+// cleanly), kept for -resume otherwise.
 func CloseCheckpoint(remove bool) error {
 	if execJournal == nil {
 		return nil
@@ -229,10 +218,7 @@ func CloseCheckpoint(remove bool) error {
 	j := execJournal
 	execJournal = nil
 	installResultStore()
-	if remove {
-		return j.Remove()
-	}
-	return j.Close()
+	return j.Finish(remove)
 }
 
 // installResultStore points the result cache at the current

@@ -9,18 +9,22 @@ import (
 	"bce/internal/runner"
 )
 
-// flags.go is the one-stop wiring every binary uses: RegisterFlags
-// defines the shared -profile-* flag set, and Enable turns the parsed
-// values into a running Capturer in one of two modes:
+// flags.go is the profiling wiring internal/cli gives the binaries:
+// RegisterFlags defines the shared -profile-* flag set, and Enable
+// turns the parsed values into a running Capturer in one of two modes:
 //
 //   - sweep mode (Sweeps: true): installs the runner capture hook, so
 //     every runner.Map sweep becomes its own capture window tagged
 //     with the sweep's span identity. Used by the sweep drivers
-//     (bcetables, bcecal, bceworker, bcebench).
+//     (bcetables, bcecal, bceworker).
 //   - process mode: opens a single window spanning the whole process,
 //     closed by the returned stop function. Used by the binaries
 //     whose interesting unit of work is the process itself (bcesim,
-//     bcereport, bcetrace, bcenetproxy).
+//     bcetrace, bcenetproxy).
+//
+// bcebench and bcereport never profile themselves: their -profile-dir
+// names the ring that child benchmark profiles are written to
+// (bcebench) or that manifests' profiles are read from (bcereport).
 
 // Flags holds the registered -profile-* flag values.
 type Flags struct {

@@ -120,6 +120,22 @@ func (r *Ring) Get(digest string) ([]byte, error) {
 	return data, nil
 }
 
+// Diff loads the two stored profiles and returns the per-function
+// delta from base to cand (see Diff).
+func (r *Ring) Diff(baseDigest, candDigest string) (*Delta, error) {
+	var profiles [2]*Profile
+	for i, digest := range []string{baseDigest, candDigest} {
+		data, err := r.Get(digest)
+		if err != nil {
+			return nil, err
+		}
+		if profiles[i], err = Parse(data); err != nil {
+			return nil, err
+		}
+	}
+	return Diff(profiles[0], profiles[1])
+}
+
 // Has reports whether digest is present.
 func (r *Ring) Has(digest string) bool {
 	path, err := r.fileFor(digest)

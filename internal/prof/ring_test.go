@@ -161,3 +161,33 @@ func TestOpenRingEmptyDir(t *testing.T) {
 		t.Error("OpenRing(\"\") succeeded")
 	}
 }
+
+func TestRingDiff(t *testing.T) {
+	r, err := OpenRing(t.TempDir(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(p *Profile) string {
+		data, err := p.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest, err := r.Put(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return digest
+	}
+	base := put(cpuProfile(Sample{Stack: stack("kernel", "sweep"), Values: []int64{100}}))
+	cand := put(cpuProfile(Sample{Stack: stack("kernel", "sweep"), Values: []int64{400}}))
+	d, err := r.Diff(base, cand)
+	if err != nil {
+		t.Fatalf("Diff: %v", err)
+	}
+	if d.BaseTotal != 100 || d.CandTotal != 400 || d.Lines[0].Function != "kernel" {
+		t.Errorf("delta = %d -> %d, top %+v; want 100 -> 400, kernel", d.BaseTotal, d.CandTotal, d.Lines[0])
+	}
+	if _, err := r.Diff(base, Digest([]byte("absent"))); err == nil {
+		t.Error("Diff against a digest not in the ring succeeded")
+	}
+}

@@ -44,6 +44,46 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointLifecycle pins the checkpoint policy every sweep
+// driver shares: the journal sits next to the DirStore, a fresh run
+// discards a stale journal, a resume replays it, and Finish deletes it
+// only for a completed sweep.
+func TestCheckpointLifecycle(t *testing.T) {
+	ds, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := filepath.Join(ds.Dir(), "sweep.journal"); ds.CheckpointPath() != want {
+		t.Errorf("CheckpointPath = %q, want %q", ds.CheckpointPath(), want)
+	}
+	open := func(resume bool) *Journal {
+		t.Helper()
+		j, err := ds.OpenCheckpoint(resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	j := open(false)
+	j.Save("alpha", []byte(`1`))
+	if err := j.Finish(false); err != nil {
+		t.Fatal(err)
+	}
+	if j = open(true); j.Replayed() != 1 {
+		t.Errorf("resume replayed %d records, want 1", j.Replayed())
+	}
+	j.Finish(false) //nolint:errcheck // reopened below
+	if j = open(false); j.Replayed() != 0 {
+		t.Errorf("fresh run replayed %d stale records, want 0", j.Replayed())
+	}
+	if err := j.Finish(true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(ds.CheckpointPath()); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("completed sweep left its journal behind: %v", err)
+	}
+}
+
 // A crash mid-append leaves a torn final line. Reopen must keep every
 // complete record, drop the tail, and keep accepting appends.
 func TestJournalTornTail(t *testing.T) {

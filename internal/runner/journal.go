@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -32,6 +33,24 @@ type Journal struct {
 	path    string
 	replay  int
 	closed  bool
+}
+
+// CheckpointPath is where the sweep checkpoint journal for s lives: an
+// append-only JSONL log next to the store's entries.
+func (s *DirStore) CheckpointPath() string {
+	return filepath.Join(s.dir, "sweep.journal")
+}
+
+// OpenCheckpoint opens the sweep checkpoint journal at CheckpointPath.
+// With resume its records replay, so a killed sweep picks up where it
+// stopped; without, a journal left by an earlier run is deleted first
+// and the sweep starts fresh. End the sweep with Journal.Finish.
+func (s *DirStore) OpenCheckpoint(resume bool) (*Journal, error) {
+	path := s.CheckpointPath()
+	if !resume {
+		os.Remove(path)
+	}
+	return OpenJournal(path)
 }
 
 // OpenJournal opens (or creates) the checkpoint journal at path and
@@ -198,6 +217,16 @@ func (j *Journal) Remove() error {
 		return err
 	}
 	return os.Remove(j.path)
+}
+
+// Finish ends a checkpointed sweep. A sweep that completed, its
+// results all merged into the durable store, deletes the journal so
+// the next run starts fresh; any other keeps it for a resume.
+func (j *Journal) Finish(completed bool) error {
+	if completed {
+		return j.Remove()
+	}
+	return j.Close()
 }
 
 var _ Store = (*Journal)(nil)

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"os"
 	"strings"
 )
 
@@ -50,14 +49,14 @@ func NewLogger(w io.Writer, level slog.Level, format string) (*slog.Logger, erro
 }
 
 // InitLogging parses the -log-level/-log-format flag values, installs
-// the resulting logger as slog's process default (stderr), and returns
-// it. Called once from each binary's main.
-func InitLogging(level, format string) (*slog.Logger, error) {
+// a logger writing to w (stderr, in a binary) as slog's process
+// default, and returns it.
+func InitLogging(w io.Writer, level, format string) (*slog.Logger, error) {
 	lv, err := ParseLogLevel(level)
 	if err != nil {
 		return nil, err
 	}
-	lg, err := NewLogger(os.Stderr, lv, format)
+	lg, err := NewLogger(w, lv, format)
 	if err != nil {
 		return nil, err
 	}

@@ -332,6 +332,17 @@ func Names() []string {
 	return names
 }
 
+// Seeds maps every benchmark to its deterministic base seed. Run
+// manifests record it so a result can be traced to its exact input
+// stream.
+func Seeds() map[string]int64 {
+	seeds := make(map[string]int64)
+	for _, p := range Profiles() {
+		seeds[p.Name] = p.Seed
+	}
+	return seeds
+}
+
 // SortedNames returns the benchmark names sorted alphabetically.
 func SortedNames() []string {
 	n := Names()

@@ -385,3 +385,19 @@ func BenchmarkGenerator(b *testing.B) {
 		g.Next()
 	}
 }
+
+func TestSeedsCoverEveryBenchmark(t *testing.T) {
+	seeds := Seeds()
+	if len(seeds) != len(Names()) {
+		t.Errorf("Seeds has %d entries, want %d", len(seeds), len(Names()))
+	}
+	for _, name := range Names() {
+		p, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seeds[name] != p.Seed {
+			t.Errorf("Seeds()[%q] = %d, want %d", name, seeds[name], p.Seed)
+		}
+	}
+}
