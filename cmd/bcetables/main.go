@@ -102,9 +102,9 @@ func main() {
 				}
 				return nil
 			},
-			"bce_breakers": func() any {
+			"bce_bench": func() any {
 				if c := coordMon.Load(); c != nil {
-					return c.Breakers()
+					return c.BenchRecords()
 				}
 				return nil
 			},
@@ -279,7 +279,7 @@ func distribute(ctx context.Context, urls []string, exp, bench string, csv bool,
 	// sweep ends. Its failures never affect job routing.
 	fleetCtx, stopFleet := context.WithCancel(ctx)
 	fleet := dist.NewFleet(dist.FleetOptions{Workers: urls, Logger: log})
-	fleet.SetBreakerSource(coord.Breakers)
+	fleet.SetBenchSource(coord.BenchRecords)
 	fleet.Start(fleetCtx)
 	fleetMon.Store(fleet)
 	defer func() {

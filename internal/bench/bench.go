@@ -50,7 +50,7 @@ func Suites(sel string) ([]Suite, error) {
 	kernel := Suite{
 		Name:    "kernel",
 		Pkg:     "./internal/perceptron",
-		Pattern: "^Benchmark(Output32|OutputReference32|Train32|TrainReference32|TableLookup|TableReset|TableOutputSingle8|TableOutputBatch8|TableTrainSingle8|TableTrainBatch8)$",
+		Pattern: "^Benchmark(Output32|OutputReference32|Train32|TrainReference32|TableLookup|TableReset|TableOutputSingle8|TableTrainSingle8)$",
 	}
 	pipeline := Suite{
 		Name:    "pipeline",

@@ -129,16 +129,13 @@ type Speedup struct {
 
 // KernelSpeedups extracts the speedup ratios the kernel suite carries:
 // the branchless/SIMD Output and Train kernels against the retained
-// branchy reference kernels, and the batched table calls against the
-// same requests issued one call at a time. A missing pair is simply
-// omitted, so the caller can distinguish "not measured" from "slow".
+// branchy reference kernels. A missing pair is simply omitted, so the
+// caller can distinguish "not measured" from "slow".
 func KernelSpeedups(r *Report) []Speedup {
 	var out []Speedup
 	for _, pair := range [][2]string{
 		{"Output32", "OutputReference32"},
 		{"Train32", "TrainReference32"},
-		{"TableOutputBatch8", "TableOutputSingle8"},
-		{"TableTrainBatch8", "TableTrainSingle8"},
 	} {
 		opt, ref := r.Find("kernel", pair[0]), r.Find("kernel", pair[1])
 		if opt == nil || ref == nil || opt.NsPerOp <= 0 {

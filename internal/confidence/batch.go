@@ -1,13 +1,14 @@
 package confidence
 
-// batch.go defines the optional batched estimator protocol. A cycle's
-// fetch group (or retire group) of conditional branches can be handed
-// to the estimator in one call instead of N; estimators backed by the
-// SIMD perceptron table then score or train every branch with a single
-// kernel crossing. The batched entry points are contracts of exact
-// equivalence: calling EstimateBatch/TrainBatch must leave the
-// estimator in the same state and produce the same tokens as the same
-// requests issued one at a time through Estimate/Train, in order.
+// batch.go defines the optional batched estimator protocol: a cycle's
+// fetch group (or retire group) of conditional branches is handed to
+// the estimator in one call instead of N. The batched entry points are
+// contracts of exact equivalence: calling EstimateBatch/TrainBatch
+// must leave the estimator in the same state and produce the same
+// tokens as the same requests issued one at a time through
+// Estimate/Train, in order. PerceptronCIC meets it by being exactly
+// that loop; a fetch or retire group averages little more than one
+// branch, so a batched table kernel does not pay.
 
 // TrainReq is one deferred Train call: the arguments Train would have
 // received for a retiring branch.
@@ -39,55 +40,20 @@ type BatchTrainer interface {
 	TrainBatch(reqs []TrainReq)
 }
 
-// EstimateBatch implements BatchEstimator: one table kernel call
-// scores the whole group against the current history, then each output
-// is banded exactly as Estimate bands it.
+// EstimateBatch implements BatchEstimator as an in-order loop over
+// Estimate.
 func (c *PerceptronCIC) EstimateBatch(pcs []uint64, predTaken []bool, toks []Token) {
-	c.pb.Reset()
-	for _, pc := range pcs {
-		c.pb.Add(pc, c.ghr)
-	}
-	c.tbl.OutputBatch(&c.pb)
-	for i, y32 := range c.pb.Out[:len(pcs)] {
-		y := int(y32)
-		band := High
-		switch {
-		case y >= c.reversal:
-			band = StrongLow
-		case y >= c.lambda:
-			band = WeakLow
-		}
-		toks[i] = Token{Output: y, Band: band, Hist: c.ghr, PredTaken: predTaken[i]}
+	for i, pc := range pcs {
+		toks[i] = c.Estimate(pc, predTaken[i])
 	}
 }
 
-// TrainBatch implements BatchTrainer. The update-rule gate and the
-// history shift run per request in order, but the table updates they
-// admit accumulate into one kernel call. That call applies them in
-// request order against each request's own history snapshot — the same
-// weights sequential Train calls would write, because Train reads only
-// the snapshot (tok.Hist), never the live history register.
+// TrainBatch implements BatchTrainer as an in-order loop over Train.
 func (c *PerceptronCIC) TrainBatch(reqs []TrainReq) {
-	c.pb.Reset()
 	for i := range reqs {
 		r := &reqs[i]
-		p := -1
-		if r.Mispredicted {
-			p = 1
-		}
-		wrongClass := r.Tok.Band.Low() != r.Mispredicted
-		if wrongClass || abs(r.Tok.Output) <= c.trainT {
-			c.pb.AddTrain(r.PC, r.Tok.Hist, p)
-		}
-		c.ghr <<= 1
-		if r.Taken {
-			c.ghr |= 1
-		}
+		c.Train(r.PC, r.Tok, r.Mispredicted, r.Taken)
 	}
-	if c.hlen < 64 {
-		c.ghr &= (1 << uint(c.hlen)) - 1
-	}
-	c.tbl.TrainBatch(&c.pb)
 }
 
 var (

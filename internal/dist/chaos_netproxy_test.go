@@ -149,13 +149,13 @@ func TestSweepThroughFlappingPartition(t *testing.T) {
 		Client:       chaosClient(),
 	})
 	s := Snapshot()
-	if s.BreakerTrips == 0 {
+	if s.WorkerBenchings == 0 {
 		t.Error("partition never tripped the breaker")
 	}
-	if s.BreakerProbes == 0 {
+	if s.WorkerProbes == 0 {
 		t.Error("no probes issued against the partitioned worker")
 	}
-	if s.BreakerReadmits == 0 {
+	if s.WorkerReadmits == 0 {
 		t.Error("partitioned worker never re-admitted after the network healed")
 	}
 }

@@ -103,7 +103,7 @@ type Coordinator struct {
 	// healthMu guards health, one bench/probe record per worker: only
 	// that worker's loop (and Ping, before a sweep) writes it.
 	healthMu sync.Mutex
-	health   []BreakerSnapshot
+	health   []BenchRecord
 
 	// mu guards the sweep's queue state and every task's lease fields.
 	mu       sync.Mutex
@@ -161,14 +161,14 @@ type lease struct {
 	cancel context.CancelFunc
 }
 
-// BreakerSnapshot is one worker's bench/probe record for stats and
-// fleet views. State is "closed" while the worker takes batches,
-// "open" while it is benched, and "half-open" while a probe decides
-// its re-admission.
-type BreakerSnapshot struct {
+// BenchRecord is one worker's bench/probe record for stats and
+// fleet views. State is "active" while the worker takes batches,
+// "benched" while it is out of the rotation, and "probing" while a
+// probe decides its re-admission.
+type BenchRecord struct {
 	State               string `json:"state"`
 	ConsecutiveFailures int    `json:"consecutive_failures"`
-	Trips               uint64 `json:"trips"`
+	Benchings           uint64 `json:"benchings"`
 	Probes              uint64 `json:"probes"`
 	Readmissions        uint64 `json:"readmissions"`
 	ProbeFailures       int    `json:"probe_failures"`
@@ -205,10 +205,10 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 		// probe cycle: finite under total loss, roomy under repeated
 		// bench/re-admit flapping.
 		maxAttempts: (opts.Retries + 2) * len(opts.Workers) * (probeBudget + 1),
-		health:      make([]BreakerSnapshot, len(opts.Workers)),
+		health:      make([]BenchRecord, len(opts.Workers)),
 	}
 	for i := range c.health {
-		c.health[i].State = "closed"
+		c.health[i].State = "active"
 	}
 	if c.client == nil {
 		c.client = &http.Client{}
@@ -228,13 +228,13 @@ func (c *Coordinator) Stats() telemetry.Snapshot {
 	return c.stats.Snapshot()
 }
 
-// Breakers snapshots every worker's bench/probe record, keyed by worker
-// URL. Safe during a running sweep; the fleet monitor decorates its
-// health view with this.
-func (c *Coordinator) Breakers() map[string]BreakerSnapshot {
+// BenchRecords snapshots every worker's bench/probe record, keyed by
+// worker URL. Safe during a running sweep; the fleet monitor decorates
+// its health view with this.
+func (c *Coordinator) BenchRecords() map[string]BenchRecord {
 	c.healthMu.Lock()
 	defer c.healthMu.Unlock()
-	out := make(map[string]BreakerSnapshot, len(c.health))
+	out := make(map[string]BenchRecord, len(c.health))
 	for i, s := range c.health {
 		out[c.opts.Workers[i]] = s
 	}
@@ -242,7 +242,7 @@ func (c *Coordinator) Breakers() map[string]BreakerSnapshot {
 }
 
 // updateHealth applies f to worker wi's record under its lock.
-func (c *Coordinator) updateHealth(wi int, f func(*BreakerSnapshot)) {
+func (c *Coordinator) updateHealth(wi int, f func(*BenchRecord)) {
 	c.healthMu.Lock()
 	f(&c.health[wi])
 	c.healthMu.Unlock()
@@ -250,11 +250,11 @@ func (c *Coordinator) updateHealth(wi int, f func(*BreakerSnapshot)) {
 
 // bench takes worker wi out of the rotation until a probe re-admits it.
 func (c *Coordinator) bench(ctx context.Context, wi int, reason string) {
-	c.updateHealth(wi, func(s *BreakerSnapshot) {
-		s.State = "open"
-		s.Trips++
+	c.updateHealth(wi, func(s *BenchRecord) {
+		s.State = "benched"
+		s.Benchings++
 	})
-	live.breakerTrips.Add(1)
+	live.workerBenchings.Add(1)
 	live.workersLost.Add(1)
 	c.log.WarnContext(telemetry.ContextWithSpan(ctx, c.sweepSpan),
 		"worker lost; benched until a probe passes", "url", c.opts.Workers[wi], "reason", reason)
@@ -264,7 +264,7 @@ func (c *Coordinator) bench(ctx context.Context, wi int, reason string) {
 func (c *Coordinator) benched(wi int) bool {
 	c.healthMu.Lock()
 	defer c.healthMu.Unlock()
-	return c.health[wi].State != "closed"
+	return c.health[wi].State != "active"
 }
 
 // observeBatch records one completed batch request's latency under the
@@ -700,25 +700,25 @@ func (c *Coordinator) probeUntilHealthy(ctx context.Context, wi int) bool {
 			return false
 		case <-time.After(wait + rand.N(wait/2)):
 		}
-		c.updateHealth(wi, func(s *BreakerSnapshot) {
-			s.State = "half-open"
+		c.updateHealth(wi, func(s *BenchRecord) {
+			s.State = "probing"
 			s.Probes++
 		})
-		live.breakerProbes.Add(1)
+		live.workerProbes.Add(1)
 		pctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 		err := c.pingOne(pctx, url)
 		cancel()
 		if err == nil {
-			c.updateHealth(wi, func(s *BreakerSnapshot) {
-				*s = BreakerSnapshot{State: "closed", Trips: s.Trips, Probes: s.Probes, Readmissions: s.Readmissions + 1}
+			c.updateHealth(wi, func(s *BenchRecord) {
+				*s = BenchRecord{State: "active", Benchings: s.Benchings, Probes: s.Probes, Readmissions: s.Readmissions + 1}
 			})
-			live.breakerReadmits.Add(1)
+			live.workerReadmits.Add(1)
 			c.log.InfoContext(telemetry.ContextWithSpan(ctx, c.sweepSpan),
 				"worker re-admitted after successful probe", "url", url)
 			return true
 		}
-		c.updateHealth(wi, func(s *BreakerSnapshot) {
-			s.State = "open"
+		c.updateHealth(wi, func(s *BenchRecord) {
+			s.State = "benched"
 			s.ProbeFailures++
 		})
 		if ctx.Err() != nil {
@@ -794,14 +794,14 @@ func (c *Coordinator) postRetry(ctx context.Context, wi int, url string, payload
 		reply, err := c.post(ctx, url, payload, span.Context())
 		if err == nil {
 			c.observeBatch(shard, wi, time.Since(start))
-			c.updateHealth(wi, func(s *BreakerSnapshot) { s.ConsecutiveFailures = 0 })
+			c.updateHealth(wi, func(s *BenchRecord) { s.ConsecutiveFailures = 0 })
 			return reply, nil
 		}
 		if !runner.IsTransient(err) || ctx.Err() != nil {
 			return BatchResult{}, err
 		}
 		lastErr = err
-		c.updateHealth(wi, func(s *BreakerSnapshot) { s.ConsecutiveFailures++ })
+		c.updateHealth(wi, func(s *BenchRecord) { s.ConsecutiveFailures++ })
 		c.log.WarnContext(telemetry.ContextWithSpan(ctx, span), "batch attempt failed",
 			"url", url, "attempt", attempt+1, "attempts", c.opts.Retries+1, "err", err)
 	}

@@ -56,11 +56,11 @@ type WorkerHealth struct {
 	// "sick host" signal.
 	JobsRetried      uint64 `json:"jobs_retried"`
 	StoreQuarantined uint64 `json:"store_quarantined"`
-	// Breaker is this worker's coordinator-side bench state ("closed"
-	// while it takes batches, "open" while benched, "half-open" while a
-	// probe is in flight), empty when no breaker source is attached
-	// (fleet monitor running without a coordinator).
-	Breaker string `json:"breaker,omitempty"`
+	// Bench is this worker's coordinator-side bench state ("active"
+	// while it takes batches, "benched" while out of the rotation,
+	// "probing" while a probe is in flight), empty when no bench source
+	// is attached (fleet monitor running without a coordinator).
+	Bench string `json:"bench,omitempty"`
 	// Polls and Failures count this monitor's scrape attempts.
 	Polls    uint64 `json:"polls"`
 	Failures uint64 `json:"failures"`
@@ -84,19 +84,19 @@ type Fleet struct {
 	client *http.Client
 	log    *slog.Logger
 
-	mu       sync.Mutex
-	health   map[string]WorkerHealth
-	breakers func() map[string]BreakerSnapshot
+	mu           sync.Mutex
+	health       map[string]WorkerHealth
+	benchRecords func() map[string]BenchRecord
 
 	wg sync.WaitGroup
 }
 
-// SetBreakerSource attaches a coordinator's bench/probe view
-// (typically Coordinator.Breakers) so fleet snapshots carry each
+// SetBenchSource attaches a coordinator's bench/probe view
+// (typically Coordinator.BenchRecords) so fleet snapshots carry each
 // worker's bench state alongside its scraped health. Call before Start.
-func (f *Fleet) SetBreakerSource(src func() map[string]BreakerSnapshot) {
+func (f *Fleet) SetBenchSource(src func() map[string]BenchRecord) {
 	f.mu.Lock()
-	f.breakers = src
+	f.benchRecords = src
 	f.mu.Unlock()
 }
 
@@ -234,14 +234,14 @@ func (e *httpStatusError) Error() string {
 func (f *Fleet) Snapshot() FleetSnapshot {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var breakers map[string]BreakerSnapshot
-	if f.breakers != nil {
-		breakers = f.breakers()
+	var records map[string]BenchRecord
+	if f.benchRecords != nil {
+		records = f.benchRecords()
 	}
 	snap := FleetSnapshot{PerWorker: make(map[string]WorkerHealth, len(f.health))}
 	for url, h := range f.health {
-		if bs, ok := breakers[url]; ok {
-			h.Breaker = bs.State
+		if bs, ok := records[url]; ok {
+			h.Bench = bs.State
 		}
 		snap.PerWorker[url] = h
 		if h.Up {

@@ -133,12 +133,12 @@ func (f *flappingWorker) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 	f.inner.ServeHTTP(rw, req)
 }
 
-// TestCoordinatorBreakerTripsAndReadmits drives a sweep with one
+// TestCoordinatorBenchesAndReadmits drives a sweep with one
 // healthy-but-slow worker and one that is down at sweep start and
-// recovers during it. The breaker must trip, evict the flapping worker,
+// recovers during it. The coordinator must bench the flapping worker,
 // probe it on cooldown, and re-admit it once a probe passes — all
-// observable on the live counters and the Breakers snapshot.
-func TestCoordinatorBreakerTripsAndReadmits(t *testing.T) {
+// observable on the live counters and the BenchRecords snapshot.
+func TestCoordinatorBenchesAndReadmits(t *testing.T) {
 	ResetStats()
 	w1 := testWorkerServer("steady", slowExec(8*time.Millisecond))
 	defer w1.Close()
@@ -163,19 +163,19 @@ func TestCoordinatorBreakerTripsAndReadmits(t *testing.T) {
 		t.Errorf("merged %d of %d jobs with %d dups", sink.len(), len(jobs), sink.dups)
 	}
 	s := Snapshot()
-	if s.BreakerTrips == 0 {
+	if s.WorkerBenchings == 0 {
 		t.Error("breaker never tripped on the flapping worker")
 	}
-	if s.BreakerProbes < 2 {
-		t.Errorf("BreakerProbes = %d, want >= 2 (recovery takes 2 failed pings)", s.BreakerProbes)
+	if s.WorkerProbes < 2 {
+		t.Errorf("WorkerProbes = %d, want >= 2 (recovery takes 2 failed pings)", s.WorkerProbes)
 	}
-	if s.BreakerReadmits == 0 {
+	if s.WorkerReadmits == 0 {
 		t.Error("flapping worker never re-admitted")
 	}
 	if s.WorkersLost == 0 {
 		t.Error("WorkersLost not bumped on eviction")
 	}
-	if st := coord.Breakers()[w2.URL]; st.State != "closed" || st.Readmissions == 0 {
+	if st := coord.BenchRecords()[w2.URL]; st.State != "active" || st.Readmissions == 0 {
 		t.Errorf("flapping worker's final breaker = %+v, want closed with readmissions", st)
 	}
 }
@@ -198,12 +198,12 @@ func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
 	if err := coord.Run(context.Background(), jobs, keys); err != nil {
 		t.Fatal(err)
 	}
-	got := coord.Breakers()
+	got := coord.BenchRecords()
 	// fastOpts: Retries 1, so two failed attempts bench the worker.
-	if s := got[dead.URL]; s.State != "open" || s.Trips != 1 || s.ConsecutiveFailures != 2 || s.Readmissions != 0 {
+	if s := got[dead.URL]; s.State != "benched" || s.Benchings != 1 || s.ConsecutiveFailures != 2 || s.Readmissions != 0 {
 		t.Errorf("dead worker's record = %+v, want open after one trip on a 2-failure streak", s)
 	}
-	if s := got[alive.URL]; s != (BreakerSnapshot{State: "closed"}) {
+	if s := got[alive.URL]; s != (BenchRecord{State: "active"}) {
 		t.Errorf("healthy worker's record = %+v, want untouched", s)
 	}
 }
@@ -231,14 +231,14 @@ func TestBreakerProbeLifecycle(t *testing.T) {
 	if err := coord.Ping(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if s := coord.Breakers()[w2.URL]; s.State != "open" || s.Trips != 1 {
+	if s := coord.BenchRecords()[w2.URL]; s.State != "benched" || s.Benchings != 1 {
 		t.Fatalf("record after startup ping = %+v, want open with one trip", s)
 	}
 	if err := coord.Run(context.Background(), jobs, keys); err != nil {
 		t.Fatal(err)
 	}
-	want := BreakerSnapshot{State: "closed", Trips: 1, Probes: 2, Readmissions: 1}
-	if s := coord.Breakers()[w2.URL]; s != want {
+	want := BenchRecord{State: "active", Benchings: 1, Probes: 2, Readmissions: 1}
+	if s := coord.BenchRecords()[w2.URL]; s != want {
 		t.Errorf("record after the sweep = %+v, want %+v", s, want)
 	}
 	if sink.workers["flappy"] == 0 {
@@ -261,8 +261,8 @@ func TestBreakerExhaustsProbeBudget(t *testing.T) {
 	if err := coord.Run(context.Background(), jobs, keys); err == nil || !strings.Contains(err.Error(), "all workers failed") {
 		t.Fatalf("err = %v, want all workers failed", err)
 	}
-	s := coord.Breakers()[dead.URL]
-	if s.State != "open" || s.Trips != 1 || s.Probes != probeBudget || s.ProbeFailures != probeBudget {
+	s := coord.BenchRecords()[dead.URL]
+	if s.State != "benched" || s.Benchings != 1 || s.Probes != probeBudget || s.ProbeFailures != probeBudget {
 		t.Errorf("record = %+v, want open with %d failed probes", s, probeBudget)
 	}
 }
@@ -293,7 +293,7 @@ func TestPingToleratesUnreachableWorker(t *testing.T) {
 	if err := coord.Ping(context.Background()); err != nil {
 		t.Fatalf("ping with one live worker must succeed, got: %v", err)
 	}
-	if st := coord.Breakers()[w2.URL]; st.State == "closed" {
+	if st := coord.BenchRecords()[w2.URL]; st.State == "active" {
 		t.Error("unreachable worker's breaker not tripped by startup ping")
 	}
 	if err := coord.Run(context.Background(), jobs, keys); err != nil {
@@ -429,7 +429,7 @@ func TestConcurrentSnapshotsDuringChaoticSweep(t *testing.T) {
 		Workers:  []string{w1.URL, w2.URL},
 		Interval: 2 * time.Millisecond,
 	})
-	fleet.SetBreakerSource(coord.Breakers)
+	fleet.SetBenchSource(coord.BenchRecords)
 	fctx, fcancel := context.WithCancel(context.Background())
 	fleet.Start(fctx)
 
@@ -446,7 +446,7 @@ func TestConcurrentSnapshotsDuringChaoticSweep(t *testing.T) {
 				default:
 				}
 				_ = coord.Stats()
-				_ = coord.Breakers()
+				_ = coord.BenchRecords()
 				_ = Snapshot()
 				_ = fleet.Snapshot()
 			}
@@ -500,8 +500,8 @@ func TestFleetReportsBreakerStates(t *testing.T) {
 	w := testWorkerServer("w", nil)
 	defer w.Close()
 	fleet := NewFleet(FleetOptions{Workers: []string{w.URL}})
-	fleet.SetBreakerSource(func() map[string]BreakerSnapshot {
-		return map[string]BreakerSnapshot{w.URL: {State: "half-open", Trips: 3}}
+	fleet.SetBenchSource(func() map[string]BenchRecord {
+		return map[string]BenchRecord{w.URL: {State: "probing", Benchings: 3}}
 	})
 	fleet.pollAll(context.Background())
 	snap := fleet.Snapshot()
@@ -509,8 +509,8 @@ func TestFleetReportsBreakerStates(t *testing.T) {
 	if !ok || !h.Up {
 		t.Fatalf("worker not polled up: %+v", snap)
 	}
-	if h.Breaker != "half-open" {
-		t.Errorf("breaker state = %q, want half-open", h.Breaker)
+	if h.Bench != "probing" {
+		t.Errorf("breaker state = %q, want half-open", h.Bench)
 	}
 	// The scraped counters exist (zero on a fresh worker is fine); a
 	// scrape that could not find them would also have failed the Up
@@ -519,7 +519,7 @@ func TestFleetReportsBreakerStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"jobs_retried", "store_quarantined", "breaker"} {
+	for _, field := range []string{"jobs_retried", "store_quarantined", "bench"} {
 		if !json.Valid(data) || !containsField(data, field) {
 			t.Errorf("fleet health JSON missing %q: %s", field, data)
 		}

@@ -25,9 +25,9 @@ type liveCounters struct {
 	workersLost    atomic.Uint64
 	// Coordinator self-healing (bench/probe, tail re-leases, merge
 	// dedup).
-	breakerTrips    atomic.Uint64
-	breakerProbes   atomic.Uint64
-	breakerReadmits atomic.Uint64
+	workerBenchings atomic.Uint64
+	workerProbes    atomic.Uint64
+	workerReadmits  atomic.Uint64
 	hedgesIssued    atomic.Uint64
 	hedgeWins       atomic.Uint64
 	hedgeLosses     atomic.Uint64
@@ -72,14 +72,14 @@ type LiveStats struct {
 	JobsMerged     uint64 `json:"jobs_merged"`
 	JobsRequeued   uint64 `json:"jobs_requeued"`
 	WorkersLost    uint64 `json:"workers_lost"`
-	// Coordinator self-healing: bench/probe events under their breaker
-	// names (trips = benchings, readmits = passing probes), tail
+	// Coordinator self-healing: worker benchings, probes and
+	// re-admissions (readmits = passing probes), tail
 	// re-leases under their hedge names (wins = the re-lease's result
 	// was used), and duplicate job merges suppressed by the
 	// exactly-once merge guard.
-	BreakerTrips    uint64 `json:"breaker_trips"`
-	BreakerProbes   uint64 `json:"breaker_probes"`
-	BreakerReadmits uint64 `json:"breaker_readmits"`
+	WorkerBenchings uint64 `json:"worker_benchings"`
+	WorkerProbes    uint64 `json:"worker_probes"`
+	WorkerReadmits  uint64 `json:"worker_readmits"`
 	HedgesIssued    uint64 `json:"hedges_issued"`
 	HedgeWins       uint64 `json:"hedge_wins"`
 	HedgeLosses     uint64 `json:"hedge_losses"`
@@ -102,9 +102,9 @@ func Snapshot() LiveStats {
 		JobsRequeued:   live.jobsRequeued.Load(),
 		WorkersLost:    live.workersLost.Load(),
 
-		BreakerTrips:    live.breakerTrips.Load(),
-		BreakerProbes:   live.breakerProbes.Load(),
-		BreakerReadmits: live.breakerReadmits.Load(),
+		WorkerBenchings: live.workerBenchings.Load(),
+		WorkerProbes:    live.workerProbes.Load(),
+		WorkerReadmits:  live.workerReadmits.Load(),
 		HedgesIssued:    live.hedgesIssued.Load(),
 		HedgeWins:       live.hedgeWins.Load(),
 		HedgeLosses:     live.hedgeLosses.Load(),

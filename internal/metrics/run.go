@@ -20,7 +20,9 @@ type Run struct {
 	Executed uint64
 	// Fetched counts all uops fetched, right or wrong path.
 	Fetched uint64
-	// WrongPathExecuted counts Executed uops that were squashed.
+	// WrongPathExecuted counts Executed uops fetched down a wrong path.
+	// It is taken at dispatch, not at squash, so it includes wrong-path
+	// uops still in flight when the run ends.
 	WrongPathExecuted uint64
 	// RetiredBranches counts retired conditional branches.
 	RetiredBranches uint64

@@ -2,8 +2,6 @@
 
 package perceptron
 
-import "math/bits"
-
 // kernel_amd64.go wires the Go-visible kernel entry points to the
 // assembly dispatch ladder (scalar → SSE2 → AVX2; see cpu_amd64.go for
 // how a tier is selected and kernel_amd64.s for the ladder itself).
@@ -11,11 +9,7 @@ import "math/bits"
 // 8-weight SIMD blocks, scalar tail — and pick the tier internally, so
 // the wrappers here are a single call the compiler inlines into every
 // caller: Table.Output in a sweep reaches vector code one CALL deep.
-//
-// The batched kernels behind Table.OutputBatch/TrainBatch
-// (kernel_avx2_amd64.s) amortize even that call: one crossing scores
-// or trains a whole struct-of-arrays request block. Every kernel at
-// every tier computes bit-identical results to the scalar kernels in
+// Every tier computes bit-identical results to the scalar kernels in
 // kernel.go, which the fuzz and property tests in kernel_test.go hold
 // to exact agreement with the branchy reference in reference.go.
 
@@ -72,19 +66,6 @@ func trainBadTarget() {
 	panic("perceptron: train target not ±1")
 }
 
-// dotRowsAVX2 scores n whole-block rows of a flat table in one call,
-// mapping each pcs[i] to its row with the same (pc>>2 & mask) * stride
-// computation as Table.index; out[i] receives the full output.
-// trainRowsAVX2 is its training-step counterpart, applying updates in
-// request order. Implemented in kernel_avx2_amd64.s; only called when
-// useAVX2 is set.
-//
-//go:noescape
-func dotRowsAVX2(w *Weight, tbl *[256][8]int16, pcs, hist *uint64, out *int32, n, blocks int, mask uint64, stride int)
-
-//go:noescape
-func trainRowsAVX2(w *Weight, tbl *[2][256][8]int16, pcs, hist *uint64, tgt *int8, n, blocks int, mask uint64, stride int, sv *[16]int16)
-
 // dot computes w[0] + Σ w[i+1]·x[i] with x[i] = ±1 from hist.
 func dot(w []Weight, hist uint64) int {
 	return int(dotKernel(&w[0], len(w), hist))
@@ -94,30 +75,4 @@ func dot(w []Weight, hist uint64) int {
 // the saturation bounds packed by packBounds.
 func trainStep(w []Weight, hist uint64, t int, bounds int64) {
 	trainKernel(&w[0], len(w), hist, int64(t), bounds)
-}
-
-// outputBatch scores every request in b against table t. The AVX2
-// batched kernel takes whole-block geometries — every default — in a
-// single call; everything else goes row by row through the regular
-// dispatch ladder.
-func outputBatch(t *Table, w []Weight, b *Batch) {
-	n := len(b.PC)
-	if useAVX2 && t.hlen&7 == 0 {
-		dotRowsAVX2(&w[0], &signTable[0], &b.PC[0], &b.Hist[0], &b.Out[0], n,
-			t.hlen>>3, t.mask, t.stride)
-		return
-	}
-	t.outputBatchGeneric(b)
-}
-
-// trainBatch applies every training request in b to table t, in
-// request order (duplicate rows within a batch see earlier updates).
-func trainBatch(t *Table, w []Weight, b *Batch) {
-	n := len(b.PC)
-	if useAVX2 && t.hlen&7 == 0 {
-		trainRowsAVX2(&w[0], &signTable, &b.PC[0], &b.Hist[0], &b.Tgt[0], n,
-			t.hlen>>3, t.mask, t.stride, &satVecs[bits.Len16(uint16(t.max)+1)])
-		return
-	}
-	t.trainBatchGeneric(b)
 }

@@ -105,39 +105,71 @@ func TestScalarKernelBitExact(t *testing.T) {
 	}
 }
 
+// refTable mirrors a Table as independent reference perceptrons, one
+// per row.
+type refTable struct {
+	tbl  *Table
+	refs []*refPerceptron
+}
+
+func newRefTable(tbl *Table) *refTable {
+	refs := make([]*refPerceptron, tbl.Entries())
+	for i := range refs {
+		refs[i] = newRefPerceptron(tbl.HistoryLen(), tbl.WeightBits())
+	}
+	return &refTable{tbl: tbl, refs: refs}
+}
+
+func (r *refTable) output(pc, hist uint64) int { return r.refs[r.tbl.Index(pc)].output(hist) }
+func (r *refTable) train(pc, hist uint64, t int) {
+	r.refs[r.tbl.Index(pc)].train(hist, t)
+}
+
+// checkWeights fails on the first divergence between the table's rows
+// and the reference perceptrons.
+func (r *refTable) checkWeights(t *testing.T) {
+	t.Helper()
+	for i := 0; i < r.tbl.Entries(); i++ {
+		got := r.tbl.Lookup(uint64(i) << 2).Weights()
+		for j, w := range got {
+			if w != r.refs[i].w[j] {
+				t.Fatalf("row %d weight %d: %d != reference %d", i, j, w, r.refs[i].w[j])
+			}
+		}
+	}
+}
+
 // TestTableKernelMatchesReference drives a full Table through the fast
 // Output/Train paths and mirrors every op into reference perceptrons,
 // checking the flat rows stay bit-identical (including row isolation:
 // training one PC must not disturb any other row).
 func TestTableKernelMatchesReference(t *testing.T) {
-	const entries, hlen, bits = 16, 13, 6
-	tbl := NewTable(entries, hlen, bits)
-	refs := make([]*refPerceptron, entries)
-	for i := range refs {
-		refs[i] = newRefPerceptron(hlen, bits)
-	}
+	tbl := NewTable(16, 13, 6)
+	ref := newRefTable(tbl)
 	rng := rand.New(rand.NewSource(42))
 	for step := 0; step < 4000; step++ {
 		pc := rng.Uint64()
 		hist := rng.Uint64()
-		row := tbl.Index(pc)
 		if rng.Intn(2) == 0 {
-			if got, want := tbl.Output(pc, hist), refs[row].output(hist); got != want {
+			if got, want := tbl.Output(pc, hist), ref.output(pc, hist); got != want {
 				t.Fatalf("step %d: Output(pc=%#x) = %d, reference %d", step, pc, got, want)
 			}
 		} else {
 			tgt := 1 - 2*rng.Intn(2)
 			tbl.Train(pc, hist, tgt)
-			refs[row].train(hist, tgt)
+			ref.train(pc, hist, tgt)
 		}
 	}
-	for i := 0; i < entries; i++ {
-		got := tbl.Lookup(uint64(i) << 2).Weights()
-		for j, w := range got {
-			if w != refs[i].w[j] {
-				t.Fatalf("row %d weight %d: %d != reference %d", i, j, w, refs[i].w[j])
-			}
-		}
+	ref.checkWeights(t)
+}
+
+// TestKernelTierKnown pins that the runtime-selected tier is one of
+// the documented rungs.
+func TestKernelTierKnown(t *testing.T) {
+	switch tier := KernelTier(); tier {
+	case "scalar", "sse2", "avx2":
+	default:
+		t.Fatalf("KernelTier() = %q, not a known tier", tier)
 	}
 }
 

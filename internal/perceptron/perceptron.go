@@ -214,105 +214,6 @@ func (t *Table) Train(pc, hist uint64, tgt int) {
 	trainStep(t.row(pc), hist, tgt, t.bounds) // trainStep validates tgt
 }
 
-// Batch is a struct-of-arrays block of scoring or training requests
-// against one Table: request i is (PC[i], Hist[i]) plus, for training,
-// the ±1 target Tgt[i]. OutputBatch fills Out with the perceptron
-// outputs. The zero value is ready to use; Reset re-slices every
-// column to length zero so a Batch can be reused cycle after cycle
-// without allocating. The layout is deliberately flat — parallel
-// slices, no per-request structs — so the batched SIMD kernels walk it
-// with nothing but pointer increments.
-type Batch struct {
-	PC   []uint64
-	Hist []uint64
-	Out  []int32 // filled by OutputBatch, one output per request
-	Tgt  []int8  // ±1 training targets, parallel to PC (TrainBatch only)
-}
-
-// Reset empties the batch, retaining every column's capacity.
-func (b *Batch) Reset() {
-	b.PC, b.Hist, b.Out, b.Tgt = b.PC[:0], b.Hist[:0], b.Out[:0], b.Tgt[:0]
-}
-
-// Len returns the number of requests in the batch.
-func (b *Batch) Len() int { return len(b.PC) }
-
-// Add appends one scoring request.
-func (b *Batch) Add(pc, hist uint64) {
-	b.PC = append(b.PC, pc)
-	b.Hist = append(b.Hist, hist)
-}
-
-// AddTrain appends one training request toward target tgt (±1).
-func (b *Batch) AddTrain(pc, hist uint64, tgt int) {
-	if tgt != 1 && tgt != -1 {
-		panic(fmt.Sprintf("perceptron: train target %d not ±1", tgt))
-	}
-	b.PC = append(b.PC, pc)
-	b.Hist = append(b.Hist, hist)
-	b.Tgt = append(b.Tgt, int8(tgt))
-}
-
-// OutputBatch computes every request's perceptron output in one pass,
-// filling b.Out (resized in place, reusing its capacity). Results are
-// bit-identical to calling Output per request; on whole-block
-// geometries with the AVX2 tier the entire batch is a single kernel
-// call, which is how the pipeline scores a fetch group of branches at
-// once instead of paying the dispatch overhead N times.
-func (t *Table) OutputBatch(b *Batch) {
-	n := len(b.PC)
-	if len(b.Hist) != n {
-		panic(fmt.Sprintf("perceptron: batch has %d PCs but %d histories", n, len(b.Hist)))
-	}
-	if cap(b.Out) < n {
-		b.Out = make([]int32, n)
-	}
-	b.Out = b.Out[:n]
-	if n == 0 {
-		return
-	}
-	w := t.w
-	if w == nil {
-		w = t.materialize()
-	}
-	outputBatch(t, w, b)
-}
-
-// TrainBatch applies every training request in one pass, in request
-// order: duplicate rows within a batch observe earlier updates exactly
-// as a sequence of Train calls would. Results are bit-identical to
-// calling Train per request.
-func (t *Table) TrainBatch(b *Batch) {
-	n := len(b.PC)
-	if len(b.Hist) != n || len(b.Tgt) != n {
-		panic(fmt.Sprintf("perceptron: batch has %d PCs but %d histories, %d targets",
-			n, len(b.Hist), len(b.Tgt)))
-	}
-	if n == 0 {
-		return
-	}
-	w := t.w
-	if w == nil {
-		w = t.materialize()
-	}
-	trainBatch(t, w, b)
-}
-
-// outputBatchGeneric scores the batch row by row through the regular
-// dispatch ladder: the portable fallback and the odd-geometry path.
-func (t *Table) outputBatchGeneric(b *Batch) {
-	for i, pc := range b.PC {
-		b.Out[i] = int32(dot(t.row(pc), b.Hist[i]))
-	}
-}
-
-// trainBatchGeneric applies the batch row by row, in request order.
-func (t *Table) trainBatchGeneric(b *Batch) {
-	for i, pc := range b.PC {
-		trainStep(t.row(pc), b.Hist[i], int(b.Tgt[i]), t.bounds)
-	}
-}
-
 // Row is a view of one table entry, aliasing the table's backing array.
 // It exists for inspection and tests; the simulation hot paths go
 // through Table.Output and Table.Train directly.

@@ -346,3 +346,46 @@ func BenchmarkTableReset(b *testing.B) {
 		tbl.Reset()
 	}
 }
+
+// group8 is the eight-branch group the Single8 benchmarks score and
+// train: a wide machine's fetch or retire group, one Table call per
+// branch, as PerceptronCIC issues them.
+func group8() (pcs, hists [8]uint64) {
+	for j := uint64(0); j < 8; j++ {
+		pcs[j] = 0x9E3779B97F4A7C15*j + j*4
+		hists[j] = 0xD1B54A32D192ED03 * (j + 1)
+	}
+	return pcs, hists
+}
+
+// BenchmarkTableOutputSingle8 scores a group of eight branches with
+// eight Table.Output calls.
+func BenchmarkTableOutputSingle8(b *testing.B) {
+	tbl := NewTable(128, 32, 8)
+	tbl.Output(0, 0)
+	pcs, hists := group8()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink int
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 8; j++ {
+			sink += tbl.Output(pcs[j], hists[j])
+		}
+	}
+	_ = sink
+}
+
+// BenchmarkTableTrainSingle8 trains the same eight branches with eight
+// Table.Train calls, alternating targets.
+func BenchmarkTableTrainSingle8(b *testing.B) {
+	tbl := NewTable(128, 32, 8)
+	tbl.Output(0, 0)
+	pcs, hists := group8()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 8; j++ {
+			tbl.Train(pcs[j], hists[j], 1-2*(j&1))
+		}
+	}
+}

@@ -55,45 +55,41 @@ func TestKernelAllTiersBitExact(t *testing.T) {
 	}
 }
 
-// TestBatchAllTiersMatchesReference runs the interleaved batch/single
-// equivalence proof at every executable tier, covering both the AVX2
-// batched kernels and the generic row-by-row fallback the lower tiers
-// dispatch to.
-func TestBatchAllTiersMatchesReference(t *testing.T) {
+// tableGeometries covers the paper default, whole-block SIMD rows, an
+// odd geometry with a scalar tail, and the extremes.
+var tableGeometries = []struct{ entries, hlen, bits int }{
+	{16, 32, 8}, // paper default
+	{8, 8, 6},   // single block
+	{8, 16, 4},  // two blocks
+	{4, 64, 15}, // maximum history, widest weights
+	{8, 13, 5},  // odd geometry: one block plus a scalar tail
+	{8, 1, 2},   // degenerate: bias + one weight
+}
+
+// TestTableAllTiersMatchesReference runs the table-level equivalence
+// proof at every executable tier: a lazily-materialized table, first
+// touched by Output, then interleaved Output and Train calls over a
+// small PC range so rows are revisited, must match the reference
+// outputs and final weights exactly.
+func TestTableAllTiersMatchesReference(t *testing.T) {
 	for _, tier := range availableTiers() {
 		t.Run(tierName(tier), func(t *testing.T) {
 			restore := setKernelTier(tier[0], tier[1])
 			defer restore()
-			for _, geo := range batchGeometries {
+			for _, geo := range tableGeometries {
 				tbl := NewTable(geo.entries, geo.hlen, geo.bits)
 				ref := newRefTable(tbl)
 				rng := rand.New(rand.NewSource(int64(geo.hlen)*31 + int64(geo.bits)))
-				pc := func() uint64 { return rng.Uint64() % uint64(4*geo.entries) << 2 }
-				var b Batch
-				for step := 0; step < 150; step++ {
+				for step := 0; step < 600; step++ {
+					p, h := rng.Uint64()%uint64(4*geo.entries)<<2, rng.Uint64()
 					if step%2 == 0 {
-						b.Reset()
-						n := 1 + rng.Intn(6)
-						for i := 0; i < n; i++ {
-							b.Add(pc(), rng.Uint64())
-						}
-						tbl.OutputBatch(&b)
-						for i := 0; i < n; i++ {
-							if got, want := int(b.Out[i]), ref.output(b.PC[i], b.Hist[i]); got != want {
-								t.Fatalf("%+v step %d: OutputBatch[%d] = %d, reference %d",
-									geo, step, i, got, want)
-							}
+						if got, want := tbl.Output(p, h), ref.output(p, h); got != want {
+							t.Fatalf("%+v step %d: Output = %d, reference %d", geo, step, got, want)
 						}
 					} else {
-						b.Reset()
-						n := 1 + rng.Intn(6)
-						for i := 0; i < n; i++ {
-							tgt := 1 - 2*rng.Intn(2)
-							p, h := pc(), rng.Uint64()
-							b.AddTrain(p, h, tgt)
-							ref.train(p, h, tgt)
-						}
-						tbl.TrainBatch(&b)
+						tgt := 1 - 2*rng.Intn(2)
+						tbl.Train(p, h, tgt)
+						ref.train(p, h, tgt)
 					}
 				}
 				ref.checkWeights(t)

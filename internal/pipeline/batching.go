@@ -6,10 +6,12 @@ import (
 )
 
 // batching.go decides when the simulator may hand the confidence
-// estimator a whole cycle's branches in one call (the SIMD-batched
-// table kernels score a fetch group per crossing) and applies the
-// deferred results. Batching is a pure execution-strategy change: it
-// is enabled only when it is provably observation-identical to the
+// estimator a whole cycle's branches in one call and applies the
+// deferred results. It keeps the batched-call protocol of
+// confidence.BatchEstimator/BatchTrainer, not a faster kernel:
+// PerceptronCIC answers a batch with the same per-branch Estimate and
+// Train calls. Batching is a pure execution-strategy change: it is
+// enabled only when it is provably observation-identical to the
 // sequential Estimate/Train protocol, so simulation results never
 // depend on whether the estimator implements the batch interfaces.
 //

@@ -38,13 +38,24 @@ func checkInvariants(t *testing.T, s *Sim) {
 			len(s.free), s.fetchQ.len(), s.rob.len(), len(s.pool))
 	}
 	// Program order in the ROB.
-	var prev uint64
+	var prev, rightPathInROB uint64
 	for i := 0; i < s.rob.len(); i++ {
 		e := &s.pool[s.rob.at(i)]
 		if e.seq <= prev {
 			t.Fatalf("ROB order violated at %d: %d after %d", i, e.seq, prev)
 		}
 		prev = e.seq
+		if !e.wrongPath {
+			rightPathInROB++
+		}
+	}
+	// Uop conservation: every dispatched uop has retired, is a
+	// wrong-path uop (counted at dispatch), or is a correct-path uop
+	// still in the ROB.
+	executed, retired, wrong := s.ctr.executed.Value(), s.ctr.retired.Value(), s.ctr.wrongPathExecuted.Value()
+	if executed != retired+wrong+rightPathInROB {
+		t.Fatalf("uop conservation: executed %d != retired %d + wrong-path %d + correct-path in ROB %d",
+			executed, retired, wrong, rightPathInROB)
 	}
 	// Scheduler-list consistency: every dispatched-not-issued uop in
 	// the ROB has exactly one live waiting ref, every issued-not-done

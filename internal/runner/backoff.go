@@ -3,10 +3,9 @@ package runner
 import "time"
 
 // Backoff computes capped exponential retry delays. It unifies the
-// backoff arithmetic the coordinator's in-place batch retries, the
-// pool's transient-job retries, and the dist circuit breakers' probe
-// cooldowns all share, so "how fast do we hammer a struggling
-// resource" is one policy, not three.
+// backoff arithmetic the coordinator's in-place batch retries and the
+// pool's transient-job retries share, so "how fast do we hammer a
+// struggling resource" is one policy, not two.
 //
 // The zero value is usable: Delay falls back to 100ms initial, 30s
 // cap, factor 2.

@@ -114,10 +114,14 @@ func (l *liveCounters) jobEnd(err error, cached bool) {
 // LiveSnapshot returns the current execution counters. It is safe to
 // call from any goroutine (the debug endpoint samples it per request).
 func LiveSnapshot() LiveStats {
+	// The finish counters are loaded before JobsStarted: a job that
+	// starts and ends between the loads then cannot show up as more
+	// jobs finished than started.
+	done, failed := live.jobsDone.Load(), live.jobsFailed.Load()
 	return LiveStats{
 		JobsStarted:      live.jobsStarted.Load(),
-		JobsDone:         live.jobsDone.Load(),
-		JobsFailed:       live.jobsFailed.Load(),
+		JobsDone:         done,
+		JobsFailed:       failed,
 		JobsCached:       live.jobsCached.Load(),
 		JobsRetried:      live.jobsRetried.Load(),
 		StoreQuarantined: live.storeQuarantined.Load(),
